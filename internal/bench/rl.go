@@ -457,9 +457,9 @@ func RunRLCtx(ctx context.Context, subject *RLSubject, cfg RLConfig) (*RLResult,
 
 // evalGreedy plays EvalEpisodes with the greedy policy, rolling episodes
 // out in parallel: each episode owns a fresh environment with the same
-// layout seed and a private inference replica from rt.Predictor (shared
-// weights, private activation caches), so no episode serializes on the
-// training network's lock. The training loop is paused while this runs,
+// layout seed and a private compiled-plan instance from rt.Predictor
+// (shared packed weights, private scratch), so no episode serializes on
+// the model's shared inference lock. The training loop is paused while this runs,
 // so the weights are quiescent as Predictor requires.
 func evalGreedy(subject *RLSubject, rt *core.Runtime, encode func(env.Env) []float64, cfg RLConfig) (score, success float64) {
 	return env.ParallelAverageScore(

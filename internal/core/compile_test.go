@@ -24,22 +24,40 @@ func fitSmallModel(t *testing.T, rt *Runtime, name string) {
 	}
 }
 
-// TestCompileModelEager covers the explicit compile entry point: errors
-// for unknown and unmaterialized models, success after materialize.
-func TestCompileModelEager(t *testing.T) {
+// TestCompileEagerAtInstall covers the eager compile entry point,
+// Test-mode Config: errors for unknown and unmaterialized models, and
+// after install a compiled plan that later predictors reuse.
+func TestCompileEagerAtInstall(t *testing.T) {
 	rt := NewRuntime(Train, 1)
-	if err := rt.CompileModel("nope"); err == nil {
-		t.Error("CompileModel on unknown model succeeded")
+	if _, err := rt.PredictorInto("nope"); err == nil {
+		t.Error("PredictorInto on unknown model succeeded")
 	}
 	if err := rt.Config(ModelSpec{Name: "m", Algo: AdamOpt, Hidden: []int{4}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.CompileModel("m"); err == nil {
-		t.Error("CompileModel before materialize succeeded")
+	if _, err := rt.PredictorInto("m"); err == nil {
+		t.Error("PredictorInto before materialize succeeded")
 	}
 	fitSmallModel(t, rt, "m2")
-	if err := rt.CompileModel("m2"); err != nil {
-		t.Errorf("CompileModel on materialized model: %v", err)
+	data, err := rt.SaveModel("m2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := NewRuntime(Test, 1)
+	ts.LoadModel("m2", data)
+	if err := ts.Config(ModelSpec{Name: "m2", Algo: AdamOpt, Hidden: []int{6}}); err != nil {
+		t.Fatalf("Test-mode Config of a materialized model: %v", err)
+	}
+	m, _ := ts.getModel("m2")
+	installed := m.plan
+	if installed == nil {
+		t.Fatal("Test-mode Config did not compile the plan")
+	}
+	if _, err := ts.PredictorInto("m2"); err != nil {
+		t.Fatal(err)
+	}
+	if m.plan != installed {
+		t.Error("PredictorInto recompiled the plan Config installed")
 	}
 }
 

@@ -43,67 +43,90 @@ type model struct {
 	// is materialized (TS mode loads by name before sizes are known).
 	pendingParams []byte
 
-	// predMu serializes predictions through the shared network, whose
-	// layers cache forward-pass state. Parallel rollouts avoid this lock
-	// entirely by taking private replicas via predictor().
+	// predMu serializes the model's two shared inference paths: the
+	// training network's forward in Train-mode au_NN (its layers cache
+	// forward-pass state) and the shared plan runner that PredictCtx and
+	// Test-mode au_NN use. Parallel rollouts avoid this lock entirely by
+	// taking private plan runners via predictorInto().
 	predMu sync.Mutex
+	shared planRunner
+	// qvals is Test-mode au_NN's Q-value buffer, reused every frame.
+	qvals []float64
 
 	// weightsVersion counts weight publications: it is bumped after every
 	// mutation of the network's parameters (materialize, online train
 	// steps, offline fit batches, RL observes, weight restores). Compiled
-	// serving plans snapshot the weights, so predictors compare their
-	// plan's version against this counter on every call and recompile on
-	// mismatch — the invalidation half of the two-representation
-	// architecture (DESIGN.md §5g).
+	// plans snapshot the weights, so plan runners compare their plan's
+	// version against this counter on every call and recompile on
+	// mismatch (DESIGN.md §5g).
 	weightsVersion atomic.Uint64
 
 	// Compiled-plan cache: one shared immutable plan per weights version,
 	// compiled lazily on first use and replaced when the version moves.
-	// planFailed latches compile failure — the architecture is fixed after
-	// materialize, so a network that cannot compile today never will.
 	planMu      sync.Mutex
 	plan        *nn.Plan
 	planVersion uint64
-	planFailed  bool
 }
 
 // bumpWeights records a weight publication, invalidating compiled plans.
 func (m *model) bumpWeights() { m.weightsVersion.Add(1) }
 
-// compiledPlan returns the serving plan for the current weights (and the
-// version it was compiled at), recompiling if training has published new
-// weights since the cached compile. Returns nil when the network's
-// architecture cannot be compiled; callers fall back to network replicas.
-func (m *model) compiledPlan() (*nn.Plan, uint64) {
+// compiledPlan returns the plan for the current weights and the version
+// it was compiled at, recompiling if training has published new weights
+// since the cached compile. A network the plan compiler rejects returns
+// an error wrapping auerr.ErrSpecInvalid.
+func (m *model) compiledPlan() (*nn.Plan, uint64, error) {
 	m.planMu.Lock()
 	defer m.planMu.Unlock()
-	if m.planFailed || m.net == nil {
-		return nil, 0
-	}
 	ver := m.weightsVersion.Load()
 	if m.plan == nil || m.planVersion != ver {
-		var shape []int
+		shape := []int{m.inSize}
 		if m.spec.Type == CNN {
 			shape = m.spec.InputShape
 		}
 		p, err := nn.Compile(m.net, shape...)
 		if err != nil {
-			m.planFailed = true
-			return nil, 0
+			return nil, 0, auerr.E(auerr.ErrSpecInvalid, "core: model %q cannot be compiled: %v", m.spec.Name, err)
 		}
 		m.plan, m.planVersion = p, ver
 	}
-	return m.plan, m.planVersion
+	return m.plan, m.planVersion, nil
 }
 
-// planInstance returns a fresh per-goroutine instance of the current
-// compiled plan, or nil when the model cannot be compiled.
-func (m *model) planInstance() (*nn.PlanInstance, uint64) {
-	p, ver := m.compiledPlan()
-	if p == nil {
-		return nil, 0
+// planRunner is one private instance of the model's compiled plan plus
+// the weights version it was compiled at. It is not goroutine-safe: each
+// predictor closure owns one, and the model's shared one sits behind
+// predMu.
+type planRunner struct {
+	inst *nn.PlanInstance
+	ver  uint64
+}
+
+// refresh brings r up to the current weights: one atomic load when
+// nothing was published, a fresh instance of the recompiled plan when
+// something was.
+func (r *planRunner) refresh(m *model) error {
+	if r.inst != nil && m.weightsVersion.Load() == r.ver {
+		return nil
 	}
-	return p.NewInstance(), ver
+	p, ver, err := m.compiledPlan()
+	if err != nil {
+		return err
+	}
+	r.inst, r.ver = p.NewInstance(), ver
+	return nil
+}
+
+// infer runs the shared plan runner on in, writing into dst as
+// nn.PlanInstance.PredictInto does — the inference path of PredictCtx and
+// Test-mode au_NN.
+func (m *model) infer(dst, in []float64) ([]float64, error) {
+	m.predMu.Lock()
+	defer m.predMu.Unlock()
+	if err := m.shared.refresh(m); err != nil {
+		return nil, err
+	}
+	return m.shared.inst.PredictInto(dst, in), nil
 }
 
 func newModel(spec ModelSpec, rng *stats.RNG) *model {
@@ -177,9 +200,10 @@ func (m *model) materialize(inSize, outSize int) error {
 	return nil
 }
 
-// predict runs the network on a flat input vector. The shared network's
-// layers cache forward state, so concurrent callers are serialized; hot
-// concurrent paths should use predictor() instead.
+// predict runs the training network's forward on a flat input vector —
+// Train-mode au_NN only, where the call itself changes the weights and a
+// recompile per call would cost more than the forward. The network's
+// layers cache forward state, so callers are serialized.
 func (m *model) predict(in []float64) []float64 {
 	m.predMu.Lock()
 	defer m.predMu.Unlock()
@@ -189,67 +213,27 @@ func (m *model) predict(in []float64) []float64 {
 	return m.net.Predict(in)
 }
 
-// predictor returns an inference function backed by a private instance
-// of the model's compiled serving plan (shared packed weights, private
-// scratch), safe to call concurrently with other predictors while no
-// training step is mutating the weights. Each call checks the weights
+// predictorInto returns an inference function backed by a private plan
+// runner (shared packed weights, private scratch), safe to call
+// concurrently with other predictors while no training step is mutating
+// the weights. The function writes the prediction into out when it has
+// the right length (allocating otherwise) and returns the filled slice,
+// so a steady-state call allocates nothing. Each call checks the weights
 // version with one atomic load and recompiles when training has
-// published new weights. Models whose architecture cannot be compiled
-// fall back to a network replica, then to the lock-guarded shared path.
-func (m *model) predictor() func(in []float64) []float64 {
-	if inst, ver := m.planInstance(); inst != nil {
-		return func(in []float64) []float64 {
-			if v := m.weightsVersion.Load(); v != ver {
-				if ni, nv := m.planInstance(); ni != nil {
-					inst, ver = ni, nv
-				}
-			}
-			return inst.Predict(in)
+// published new weights.
+func (m *model) predictorInto() (func(in, out []float64) []float64, error) {
+	var r planRunner
+	if err := r.refresh(m); err != nil {
+		return nil, err
+	}
+	return func(in, out []float64) []float64 {
+		if err := r.refresh(m); err != nil {
+			// The architecture is fixed after materialize and compiled
+			// once already, so only a broken invariant gets here.
+			auerr.Failf("%v", err)
 		}
-	}
-	rep, ok := m.net.Replica()
-	if !ok {
-		return m.predict
-	}
-	if m.spec.Type == CNN {
-		shape := m.spec.InputShape
-		return func(in []float64) []float64 { return rep.Predict(in, shape...) }
-	}
-	return func(in []float64) []float64 { return rep.Predict(in) }
-}
-
-// predictorInto is the destination-passing predictor(): the returned
-// function writes the prediction into out when it has the right length
-// (allocating otherwise) and returns the filled slice. With a compiled
-// plan instance and a correctly sized out, a steady-state call allocates
-// nothing — the serving engine's per-replica closures are built on this.
-func (m *model) predictorInto() func(in, out []float64) []float64 {
-	if inst, ver := m.planInstance(); inst != nil {
-		return func(in, out []float64) []float64 {
-			if v := m.weightsVersion.Load(); v != ver {
-				if ni, nv := m.planInstance(); ni != nil {
-					inst, ver = ni, nv
-				}
-			}
-			return inst.PredictInto(out, in)
-		}
-	}
-	rep, ok := m.net.Replica()
-	if !ok {
-		return func(in, out []float64) []float64 {
-			res := m.predict(in)
-			if len(out) == len(res) {
-				copy(out, res)
-				return out
-			}
-			return res
-		}
-	}
-	var shape []int
-	if m.spec.Type == CNN {
-		shape = m.spec.InputShape
-	}
-	return func(in, out []float64) []float64 { return rep.PredictInto(out, in, shape...) }
+		return r.inst.PredictInto(out, in)
+	}, nil
 }
 
 // slTrainStep performs one online gradient step (the literal TRAIN rule)

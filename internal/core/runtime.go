@@ -44,10 +44,11 @@ import (
 //     mutate per-model learning state and must be confined to a single
 //     training goroutine per model, mirroring the paper's single main
 //     process that transfers control at au_NN points.
-//   - Inference is concurrent: Predict serializes through a per-model
-//     lock, and Predictor hands out lock-free replicas (shared weights,
-//     private activation caches) for parallel rollouts — valid while no
-//     training step is concurrently mutating the weights.
+//   - Inference runs the model's compiled plan and is concurrent: Predict
+//     serializes through one per-model plan instance, and Predictor
+//     hands out lock-free private instances (shared packed weights,
+//     private scratch) for parallel rollouts — valid while no training
+//     step is concurrently mutating the weights.
 //   - The database store π and the checkpoint manager keep the original
 //     single-goroutine contract.
 type Runtime struct {
@@ -165,6 +166,12 @@ func (rt *Runtime) ConfigCtx(ctx context.Context, spec ModelSpec) (err error) {
 		if err := m.materialize(inSize, outSize); err != nil {
 			return err
 		}
+		// Pack at install: the weights are frozen from here on, so compile
+		// the plan now. A network the compiler rejects fails here, and the
+		// first prediction pays no packing.
+		if _, _, err := m.compiledPlan(); err != nil {
+			return err
+		}
 	}
 	rt.models[spec.Name] = m
 	return nil
@@ -218,7 +225,8 @@ func (rt *Runtime) SerializeCtx(ctx context.Context, names ...string) (_ string,
 // desirable outputs recorded from the oracle — the "decisions made by
 // human users" of Section 3), one gradient step is taken against that
 // target (the literal TRAIN rule) and the example is also recorded for
-// offline fitting via Fit.
+// offline fitting via Fit. Train mode predicts with the training
+// network's forward; Test mode runs the compiled plan.
 //
 // Cancellation is checked once at entry — before any store mutation or
 // gradient step — so a canceled call leaves π and the model exactly as
@@ -278,7 +286,12 @@ func (rt *Runtime) NNCtx(ctx context.Context, mdName, extName string, wbNames ..
 		m.recordExample(in, target)
 	}
 
-	out := m.predict(in)
+	var out []float64
+	if rt.mode == Train {
+		out = m.predict(in)
+	} else if out, err = m.infer(nil, in); err != nil {
+		return err
+	}
 	if len(out)%len(wbNames) != 0 {
 		return auerr.E(auerr.ErrSpecInvalid, "core: model %q output size %d not divisible across %d write-back names",
 			mdName, len(out), len(wbNames))
@@ -298,8 +311,9 @@ func (rt *Runtime) NNCtx(ctx context.Context, mdName, extName string, wbNames ..
 // chosen action index is bound to π(wbName); the input list is reset.
 //
 // In Train mode the action is ε-greedy and the underlying DQN performs
-// replayed Q-learning updates; in Test mode the action is greedy and the
-// model is untouched (TEST rule).
+// replayed Q-learning updates, so acting runs the training network's
+// forward; in Test mode the action is the argmax of the compiled plan's
+// Q-values and the model is untouched (TEST rule).
 //
 // Cancellation is checked at the step boundary — at entry, before the
 // transition is observed or π is mutated — so a canceled call can be
@@ -338,7 +352,15 @@ func (rt *Runtime) NNRLCtx(ctx context.Context, mdName, extName string, reward f
 		// The episode ended: do not bridge a transition across restore.
 		m.havePrev = false
 	}
-	action := m.agent.Act(state, rt.mode == Test)
+	var action int
+	if rt.mode == Train {
+		action = m.agent.Act(state, false)
+	} else {
+		if m.qvals, err = m.infer(m.qvals, state); err != nil {
+			return err
+		}
+		action = stats.ArgMax(m.qvals)
+	}
 	if !terminal {
 		m.prevState = state
 		m.prevAction = action
@@ -531,29 +553,6 @@ func (rt *Runtime) LoadModelParams(mdName string, data []byte) (err error) {
 	return nil
 }
 
-// CompileModel eagerly builds (or refreshes) the model's compiled
-// serving plan — weights packed into the active kernel layout, scratch
-// geometry pre-sized — so the first prediction pays no packing cost.
-// Predictor and PredictorInto closures then run on instances of that
-// plan. The serving layer calls this at snapshot install, publishing
-// only already-packed engines on hot reload. A model whose architecture
-// cannot be compiled returns an error wrapping auerr.ErrSpecInvalid;
-// predictors for it fall back to network replicas.
-func (rt *Runtime) CompileModel(mdName string) (err error) {
-	defer guard(&err)
-	m, ok := rt.getModel(mdName)
-	if !ok {
-		return auerr.E(auerr.ErrUnknownModel, "core: CompileModel on unconfigured model %q", mdName)
-	}
-	if m.net == nil {
-		return auerr.E(auerr.ErrNotMaterialized, "core: model %q not materialized", mdName)
-	}
-	if p, _ := m.compiledPlan(); p == nil {
-		return auerr.E(auerr.ErrSpecInvalid, "core: model %q cannot be compiled for serving", mdName)
-	}
-	return nil
-}
-
 // SavedModelSizes decodes the input/output sizes from a SaveModel image
 // without building a network — the serving layer validates request
 // shapes against these before a bad input ever reaches a batch.
@@ -615,9 +614,10 @@ func (rt *Runtime) ModelNames() []string {
 	return out
 }
 
-// PredictCtx runs a supervised model directly on a feature vector
+// PredictCtx runs a model's compiled plan directly on a feature vector
 // without touching π — the fast path used by benchmark harnesses when
-// measuring pure inference cost. A wrong-sized input wraps
+// measuring pure inference cost. Calls on one model are serialized. A
+// wrong-sized input, or a network the plan compiler rejects, wraps
 // auerr.ErrSpecInvalid instead of tripping a kernel invariant.
 func (rt *Runtime) PredictCtx(ctx context.Context, mdName string, in []float64) (out []float64, err error) {
 	ctx, tm, sp := rt.tel.begin(ctx, pPredict)
@@ -636,25 +636,22 @@ func (rt *Runtime) PredictCtx(ctx context.Context, mdName string, in []float64) 
 	if len(in) != m.inSize {
 		return nil, auerr.E(auerr.ErrSpecInvalid, "core: model %q expects %d inputs, got %d", mdName, m.inSize, len(in))
 	}
-	return m.predict(in), nil
+	return m.infer(nil, in)
 }
 
 // Predictor returns a standalone inference function for the model,
-// backed by a private network replica (shared weights, private
-// activation caches). Distinct Predictor closures may run concurrently
-// with each other and with Predict, as long as no training step is
-// mutating the model's weights — the fan-out primitive for parallel
-// rollouts.
+// backed by a private instance of its compiled plan (shared packed
+// weights, private scratch). Distinct Predictor closures may run
+// concurrently with each other and with Predict, as long as no training
+// step is mutating the model's weights — the fan-out primitive for
+// parallel rollouts. A network the plan compiler rejects wraps
+// auerr.ErrSpecInvalid.
 func (rt *Runtime) Predictor(mdName string) (fn func(in []float64) []float64, err error) {
-	defer guard(&err)
-	m, ok := rt.getModel(mdName)
-	if !ok {
-		return nil, auerr.E(auerr.ErrUnknownModel, "core: unknown model %q", mdName)
+	pred, err := rt.PredictorInto(mdName)
+	if err != nil {
+		return nil, err
 	}
-	if m.net == nil {
-		return nil, auerr.E(auerr.ErrNotMaterialized, "core: model %q not materialized", mdName)
-	}
-	return m.predictor(), nil
+	return func(in []float64) []float64 { return pred(in, nil) }, nil
 }
 
 // PredictorInto is the destination-passing Predictor: the returned
@@ -672,5 +669,5 @@ func (rt *Runtime) PredictorInto(mdName string) (fn func(in, out []float64) []fl
 	if m.net == nil {
 		return nil, auerr.E(auerr.ErrNotMaterialized, "core: model %q not materialized", mdName)
 	}
-	return m.predictorInto(), nil
+	return m.predictorInto()
 }

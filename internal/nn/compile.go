@@ -56,8 +56,8 @@ type planOp interface {
 // Compile builds the serving plan for net at the given input shape
 // (omitted shape means a flat vector sized by the first layer). It
 // returns an error when the stack contains a layer kind the compiler
-// does not know or the shape walk fails; callers fall back to the
-// uncompiled network in that case.
+// does not know or the shape walk fails; internal/core reports that as
+// an invalid spec.
 func Compile(net *Network, inShape ...int) (*Plan, error) {
 	if len(net.layers) == 0 {
 		return nil, fmt.Errorf("nn: compile of empty network")

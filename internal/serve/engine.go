@@ -10,11 +10,12 @@ import (
 )
 
 // engine is one immutable, servable model snapshot: a Test-mode runtime
-// holding the materialized network, a pool of lock-free predictor
-// replicas (shared weights, private activation caches — the PR-1
-// fan-out primitive), and the snapshot's version. Reloads never mutate
-// an engine; they build a new one and atomically swap the pointer, so
-// an in-flight batch keeps computing on the snapshot it started with.
+// holding the model with its plan already compiled, a pool of lock-free
+// predictor replicas (private instances of that plan: shared packed
+// weights, private scratch), and the snapshot's version. Reloads never
+// mutate an engine; they build a new one and atomically swap the
+// pointer, so an in-flight batch keeps computing on the snapshot it
+// started with.
 type engine struct {
 	name    string
 	version int
@@ -29,19 +30,15 @@ type engine struct {
 	// chunking prevents.
 	pool     chan func(in, out []float64) []float64
 	replicas int
-
-	// packed records that the model's serving plan compiled at engine
-	// build time — weights BLIS-packed once, before the engine was
-	// published — so the first request after a hot reload pays no packing
-	// or compilation cost. False only for architectures the plan compiler
-	// does not support, which serve through network replicas instead.
-	packed bool
 }
 
 // buildEngine constructs a servable engine from a model spec and a
-// SaveModel image. The runtime inside is deliberately detached from
-// process-wide telemetry (WithMetrics(nil)): serving engines come and
-// go with every reload and must not steal the host's db/model gauges.
+// SaveModel image. Test-mode Config compiles the plan before the engine
+// is published, so a hot reload installs already-packed weights and an
+// uncompilable network fails the install. The runtime inside is
+// deliberately detached from process-wide telemetry (WithMetrics(nil)):
+// serving engines come and go with every reload and must not steal the
+// host's db/model gauges.
 func buildEngine(name string, spec core.ModelSpec, data []byte, version, replicas int) (*engine, error) {
 	inSize, outSize, err := core.SavedModelSizes(data)
 	if err != nil {
@@ -61,10 +58,6 @@ func buildEngine(name string, spec core.ModelSpec, data []byte, version, replica
 		inSize: inSize, outSize: outSize,
 		pool: make(chan func(in, out []float64) []float64, replicas), replicas: replicas,
 	}
-	// Compile the serving plan before the engine is published: the swap
-	// installs an engine whose weights are already packed, so a hot
-	// reload never shows a first-request packing spike.
-	e.packed = rt.CompileModel(name) == nil
 	for i := 0; i < replicas; i++ {
 		fn, err := rt.PredictorInto(name)
 		if err != nil {

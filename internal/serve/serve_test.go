@@ -12,8 +12,14 @@ import (
 
 	"github.com/autonomizer/autonomizer/internal/auerr"
 	"github.com/autonomizer/autonomizer/internal/core"
+	"github.com/autonomizer/autonomizer/internal/nn"
 	"github.com/autonomizer/autonomizer/internal/stats"
 )
+
+// opaqueLayer wraps a layer in a type the plan compiler does not know,
+// keeping the parameter layout, so a network containing one loads a
+// weights image but cannot be compiled.
+type opaqueLayer struct{ nn.Layer }
 
 // trainModel fits a small deterministic supervised model and returns
 // its serving spec, SaveModel image, and a Test-mode reference runtime
@@ -477,8 +483,18 @@ func TestHotReloadInstallsPackedEngine(t *testing.T) {
 	sm := srv.models["m"]
 	srv.mu.RUnlock()
 	first := sm.eng.Load()
-	if !first.packed {
-		t.Fatal("freshly installed engine is not packed")
+
+	// Install compiles before the swap: a network the plan compiler
+	// rejects fails the install and leaves the serving engine in place.
+	opaque := spec
+	opaque.Builder = func(in, out int, rng *stats.RNG) *nn.Network {
+		return nn.NewNetwork(nn.NewDense(in, 6, rng), opaqueLayer{nn.NewReLU()}, nn.NewDense(6, out, rng))
+	}
+	if _, err := srv.Install("m", opaque, data2); !errors.Is(err, auerr.ErrSpecInvalid) {
+		t.Fatalf("install of an uncompilable network: %v, want ErrSpecInvalid", err)
+	}
+	if sm.eng.Load() != first {
+		t.Fatal("a failed install swapped the engine")
 	}
 
 	if _, err := srv.Install("m", spec, data2); err != nil {
@@ -487,9 +503,6 @@ func TestHotReloadInstallsPackedEngine(t *testing.T) {
 	eng := sm.eng.Load()
 	if eng == first {
 		t.Fatal("reload did not swap the engine")
-	}
-	if !eng.packed {
-		t.Error("hot-reloaded engine is not packed: the first request after the swap would pay the packing cost")
 	}
 
 	// The packed engine must still serve the new snapshot bit-exactly.

@@ -24,10 +24,8 @@ import (
 type ModelStatus struct {
 	Name    string `json:"name"`
 	Version int    `json:"version"`
-	// Plan is the engine's compile state: the active kernel name
-	// ("avx2", "generic", ...) when the serving plan compiled at install
-	// time, or "uncompiled" for architectures served through network
-	// replicas instead.
+	// Plan is the kernel ("avx2", "generic", ...) the engine's compiled
+	// plan was packed for at install time.
 	Plan     string `json:"plan"`
 	InSize   int    `json:"in_size"`
 	OutSize  int    `json:"out_size"`
@@ -85,14 +83,10 @@ func (s *Server) Status() Statusz {
 			continue
 		}
 		eng := m.eng.Load()
-		plan := "uncompiled"
-		if eng.packed {
-			plan = tensor.KernelName()
-		}
 		row := ModelStatus{
 			Name:               m.name,
 			Version:            eng.version,
-			Plan:               plan,
+			Plan:               tensor.KernelName(),
 			InSize:             eng.inSize,
 			OutSize:            eng.outSize,
 			Replicas:           eng.replicas,

@@ -16,10 +16,11 @@ const convCutoff = 16 * 1024
 // one output position. stride must be >= 1; pad adds implicit zeros on
 // every edge.
 //
-// Convolution via im2col is how the CNN layer in internal/nn executes:
-// output = weights(outC, inC*kh*kw) × Im2Col(input). This mirrors the
-// lowering used by mainstream frameworks, making the CNN substitute for
-// the paper's TensorFlow raw-pixel models faithful in structure.
+// Im2Col is the materialized reference lowering: output =
+// weights(outC, inC*kh*kw) × Im2Col(input). The CNN layers execute the
+// implicit-GEMM ConvKernel (convgemm.go), which never builds this
+// matrix; its bit-identity tests and scripts/check_kernels.sh compare
+// it against this lowering.
 //
 // Large inputs shard the (channel, ky, kx) rows over the worker pool;
 // each row fills a disjoint slice of the output, so results are
@@ -64,21 +65,6 @@ func Im2ColInto(out, in *Tensor, kh, kw, stride, pad int) *Tensor {
 	parallel.For(rows, grain, func(lo, hi int) {
 		im2colRows(out.data, in.data, lo, hi, h, w, kh, kw, stride, pad, outH, outW)
 	})
-	return out
-}
-
-// Im2ColSeqInto is Im2ColInto without the worker pool: it lowers the
-// whole input on the calling goroutine and allocates nothing. Compiled
-// plans use it — their ops run sequentially by contract (parallelism
-// lives above the plan, one instance per goroutine), and the sharding
-// closure Im2ColInto builds per call would be their only allocation.
-// Results are identical: sharding never changes what each row holds.
-func Im2ColSeqInto(out, in *Tensor, kh, kw, stride, pad int) *Tensor {
-	c, h, w := im2colDims(in, kh, kw, stride, pad)
-	outH := ConvOutputSize(h, kh, stride, pad)
-	outW := ConvOutputSize(w, kw, stride, pad)
-	checkDst(out, c*kh*kw, outH*outW)
-	im2colRows(out.data, in.data, 0, c*kh*kw, h, w, kh, kw, stride, pad, outH, outW)
 	return out
 }
 

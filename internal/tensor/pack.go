@@ -19,9 +19,9 @@ import "fmt"
 // The convolution plan packs its (OutC × InC·KH·KW) weights this way at
 // compile time.
 type PackedA struct {
-	a      []float64 // full row-major snapshot (m×k)
-	packed []float64 // full microM-row blocks, kk-major
-	m, k   int
+	a     []float64 // full row-major snapshot (m×k)
+	panel []float64 // full microM-row blocks, kk-major
+	m, k  int
 }
 
 // PackA snapshots a rank-2 tensor into GEBP-packed form.
@@ -32,8 +32,8 @@ func PackA(a *Tensor) *PackedA {
 	m, k := a.shape[0], a.shape[1]
 	p := &PackedA{a: append([]float64(nil), a.data...), m: m, k: k}
 	if blocks := m / microM; blocks > 0 && k > 0 {
-		p.packed = make([]float64, blocks*microM*k)
-		packRows(p.packed, p.a, k, blocks)
+		p.panel = make([]float64, blocks*microM*k)
+		packRows(p.panel, p.a, k, blocks)
 	}
 	return p
 }
@@ -80,7 +80,7 @@ func (p *PackedA) MulInto(dst *Tensor, packedB []float64, n int) *Tensor {
 		dst.Fill(0)
 		return dst
 	}
-	kern.gebpTile(dst.data, n, p.a, p.packed, packedB, p.m, p.k, n)
+	kern.gebpTile(dst.data, n, p.a, p.panel, packedB, p.m, p.k, n)
 	return dst
 }
 
@@ -92,7 +92,7 @@ func (p *PackedA) MulInto(dst *Tensor, packedB []float64, n int) *Tensor {
 type PackedDense struct {
 	lanes  int
 	blocks int
-	packed []float64 // blocks*lanes rows, lane-packed kk-major
+	panel  []float64 // blocks*lanes rows, lane-packed kk-major
 	tail   []float64 // rows [blocks*lanes, out), row-major
 	bias   []float64
 	out, k int
@@ -112,11 +112,11 @@ func PackDense(w, bias *Tensor) *PackedDense {
 		lanes: lanes, blocks: out / lanes, out: out, k: k,
 		bias: append([]float64(nil), bias.data...),
 	}
-	p.packed = make([]float64, p.blocks*lanes*k)
+	p.panel = make([]float64, p.blocks*lanes*k)
 	for blk := 0; blk < p.blocks; blk++ {
 		for lane := 0; lane < lanes; lane++ {
 			row := w.data[(blk*lanes+lane)*k : (blk*lanes+lane+1)*k]
-			dst := p.packed[blk*k*lanes+lane:]
+			dst := p.panel[blk*k*lanes+lane:]
 			for kk, v := range row {
 				dst[kk*lanes] = v
 			}
@@ -144,7 +144,7 @@ func (p *PackedDense) Forward(dst, x []float64) {
 		panic(fmt.Sprintf("tensor: PackedDense output %d, want %d", len(dst), p.out))
 	}
 	if p.blocks > 0 {
-		kern.gemv(dst, p.packed, x, p.bias, p.blocks, p.k)
+		kern.gemv(dst, p.panel, x, p.bias, p.blocks, p.k)
 	}
 	for o := p.blocks * p.lanes; o < p.out; o++ {
 		t := o - p.blocks*p.lanes
