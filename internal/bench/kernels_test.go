@@ -5,6 +5,7 @@ import (
 
 	"github.com/autonomizer/autonomizer/internal/nn"
 	"github.com/autonomizer/autonomizer/internal/parallel"
+	"github.com/autonomizer/autonomizer/internal/rl"
 	"github.com/autonomizer/autonomizer/internal/stats"
 	"github.com/autonomizer/autonomizer/internal/tensor"
 )
@@ -50,9 +51,11 @@ func benchCNN() *nn.Network {
 //     speedup, single-core (SetWorkers(1)) so the comparison isolates
 //     cache blocking from sharding.
 //   - Dense/Conv2D forward+backward: layer-level steady state.
-//   - NetworkForward, TrainBatch, ServedPredict: end-to-end allocs/op —
-//     NetworkForward and ServedPredict must report 0 allocs/op after
-//     warm-up; TrainBatch has a fixed small budget (see check_allocs.sh).
+//   - NetworkForward, TrainBatch, ServedPredict, DQNObserve: end-to-end
+//     allocs/op — NetworkForward and ServedPredict must report 0
+//     allocs/op after warm-up; TrainBatch and DQNObserve (one replayed
+//     Q-learning update, which runs TrainBatch) share a fixed small
+//     budget (see check_allocs.sh).
 func BenchmarkKernels(b *testing.B) {
 	for _, size := range []int{64, 192, 512} {
 		a, bb := tensor.New(size, size), tensor.New(size, size)
@@ -258,6 +261,36 @@ func BenchmarkKernels(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			net.TrainBatch(ins, targets)
+		}
+	})
+
+	b.Run("DQNObserve", func(b *testing.B) {
+		// One replayed Q-learning update per Observe: a 10-64-32-5 DQN,
+		// batch 32. Warm-up fills the replay buffer and runs the first
+		// update, which compiles the target plan and binds Adam; a target
+		// sync recompiles the plan every 250 updates thereafter.
+		a := rl.NewAgent(nn.NewDNN(10, []int{64, 32}, 5, stats.NewRNG(7)), 5,
+			rl.Config{BatchSize: 32}, stats.NewRNG(8))
+		states := make([][]float64, 64)
+		for i := range states {
+			st := tensor.New(10)
+			fillKernel(st, uint64(90+i))
+			states[i] = st.Data()
+		}
+		observe := func(i int) {
+			a.Observe(rl.Transition{
+				State: states[i%len(states)], Action: i % 5, Reward: float64(i%3) - 1,
+				NextState: states[(i+1)%len(states)], Terminal: i%50 == 49,
+			})
+		}
+		warm := 100 // the default WarmupSteps
+		for i := 0; i < warm; i++ {
+			observe(i)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			observe(warm + i)
 		}
 	})
 }

@@ -54,7 +54,7 @@ func TestCustomBuilder(t *testing.T) {
 }
 
 // TestCustomBuilderRL pairs the callback with Q-learning: the builder
-// runs twice (online + target networks).
+// runs once, since the DQN target is a compiled plan of that network.
 func TestCustomBuilderRL(t *testing.T) {
 	built := 0
 	rt := NewRuntime(Train, 32)
@@ -72,8 +72,8 @@ func TestCustomBuilderRL(t *testing.T) {
 	if err := rt.NNRL("q", "S", 0, false, "out"); err != nil {
 		t.Fatal(err)
 	}
-	if built != 2 {
-		t.Errorf("builder called %d times, want 2 (online + target)", built)
+	if built != 1 {
+		t.Errorf("builder called %d times, want 1 (the target is a compiled plan)", built)
 	}
 	if a, err := rt.WriteBackAction("out"); err != nil || a < 0 || a > 1 {
 		t.Errorf("action = %d, %v", a, err)

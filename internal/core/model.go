@@ -133,7 +133,7 @@ func newModel(spec ModelSpec, rng *stats.RNG) *model {
 	return &model{spec: spec, rng: rng}
 }
 
-// materialize builds the network(s) once input/output sizes are known.
+// materialize builds the network once input/output sizes are known.
 func (m *model) materialize(inSize, outSize int) error {
 	if m.net != nil {
 		if inSize != m.inSize {
@@ -147,22 +147,7 @@ func (m *model) materialize(inSize, outSize int) error {
 		return nil
 	}
 	m.inSize, m.outSize = inSize, outSize
-	build := func() *nn.Network {
-		if m.spec.Builder != nil {
-			return m.spec.Builder(inSize, outSize, m.rng.Split())
-		}
-		if m.spec.Type == CNN {
-			s := m.spec.InputShape
-			return nn.NewDeepMindCNN(s[0], s[1], s[2], outSize, m.rng.Split())
-		}
-		net := nn.NewDNN(inSize, m.spec.Hidden, outSize, m.rng.Split())
-		if m.spec.OutputActivation == "sigmoid" {
-			layers := append(net.Layers(), nn.NewSigmoid())
-			net = nn.NewNetwork(layers...)
-		}
-		return net
-	}
-	m.net = build()
+	m.net = m.build(inSize, outSize)
 	m.net.SetMaxWorkers(m.spec.Workers)
 
 	switch m.spec.Algo {
@@ -180,9 +165,10 @@ func (m *model) materialize(inSize, outSize int) error {
 		if m.spec.Type == CNN {
 			cfg.StateShape = m.spec.InputShape
 		}
-		target := build()
-		target.SetMaxWorkers(m.spec.Workers)
-		m.agent = rl.NewAgent(m.net, target, m.spec.Actions, cfg, m.rng.Split())
+		// Discard the draw a second (target) network once took, so every
+		// seed keeps its stream; the agent's target is a compiled plan.
+		m.rng.Split()
+		m.agent = rl.NewAgent(m.net, m.spec.Actions, cfg, m.rng.Split())
 	case AdamOpt:
 		lr := m.spec.LR
 		if lr == 0 {
@@ -198,6 +184,23 @@ func (m *model) materialize(inSize, outSize int) error {
 	}
 	m.bumpWeights()
 	return nil
+}
+
+// build constructs the model's network: the spec's Builder, the DeepMind
+// CNN, or a DNN with the spec's hidden layers.
+func (m *model) build(inSize, outSize int) *nn.Network {
+	if m.spec.Builder != nil {
+		return m.spec.Builder(inSize, outSize, m.rng.Split())
+	}
+	if m.spec.Type == CNN {
+		s := m.spec.InputShape
+		return nn.NewDeepMindCNN(s[0], s[1], s[2], outSize, m.rng.Split())
+	}
+	net := nn.NewDNN(inSize, m.spec.Hidden, outSize, m.rng.Split())
+	if m.spec.OutputActivation == "sigmoid" {
+		net = nn.NewNetwork(append(net.Layers(), nn.NewSigmoid())...)
+	}
+	return net
 }
 
 // predict runs the training network's forward on a flat input vector —

@@ -29,8 +29,11 @@ func sameBits(a, b []float64) bool {
 // convolution first on a DNN spec, whose plan input is the flat
 // {inSize} — fails Test-mode Config and Train-mode Predictor/PredictCtx
 // with ErrSpecInvalid: never ErrInvariant, never a silent fallback to
-// the network forward. A DNN whose first layer is not Dense compiles and
-// predicts bit-identically to Network.Predict.
+// the network forward. Train-mode au_NN of a Q-learning model whose
+// layer the compiler does not know fails the same way at the first
+// replayed update, which compiles the DQN target plan. A DNN whose first
+// layer is not Dense compiles and predicts bit-identically to
+// Network.Predict.
 func TestCompileErrorContract(t *testing.T) {
 	ctx := context.Background()
 	wantSpecInvalid := func(what string, err error) {
@@ -72,6 +75,20 @@ func TestCompileErrorContract(t *testing.T) {
 	if names := ts.ModelNames(); len(names) != 0 {
 		t.Errorf("uncompilable model was registered: %v", names)
 	}
+
+	q := ModelSpec{Name: "q", Algo: QLearn, Actions: 2, BatchSize: 4,
+		Builder: func(inSize, outSize int, rng *stats.RNG) *nn.Network {
+			return nn.NewNetwork(opaqueLayer{nn.NewDense(inSize, outSize, rng)})
+		}}
+	if err := tr.Config(q); err != nil {
+		t.Fatal(err)
+	}
+	var nnrlErr error
+	for i := 0; i < 200 && nnrlErr == nil; i++ {
+		tr.Extract("S", float64(i%7), 1)
+		nnrlErr = tr.NNRL("q", "S", 1, false, "a")
+	}
+	wantSpecInvalid("Train-mode NNRL", nnrlErr)
 
 	tanh := ModelSpec{Name: "tanh", Algo: AdamOpt, LR: 0.01,
 		Builder: func(inSize, outSize int, rng *stats.RNG) *nn.Network {
@@ -117,6 +134,9 @@ func TestCompileErrorContract(t *testing.T) {
 		}
 	}
 }
+
+// opaqueLayer is a layer kind the plan compiler does not know.
+type opaqueLayer struct{ nn.Layer }
 
 // TestTestModeNNRLRunsPlan checks the Test-mode au_NN path for Q-learning
 // models: on every frame the Q-values are bit-identical to the Train

@@ -354,7 +354,7 @@ func (rt *Runtime) NNRLCtx(ctx context.Context, mdName, extName string, reward f
 	}
 	var action int
 	if rt.mode == Train {
-		action = m.agent.Act(state, false)
+		action = m.agent.Act(state)
 	} else {
 		if m.qvals, err = m.infer(m.qvals, state); err != nil {
 			return err

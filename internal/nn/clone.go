@@ -29,8 +29,8 @@ func (d *Dense) Replicate() Layer {
 	}
 }
 
-// Replicate implements Replicable: shared kernel/bias, private gradients
-// and im2col cache.
+// Replicate implements Replicable: shared kernel/bias, private gradients,
+// saved input and implicit-GEMM kernel state.
 func (c *Conv2D) Replicate() Layer {
 	return &Conv2D{
 		InC: c.InC, OutC: c.OutC, KH: c.KH, KW: c.KW,
@@ -62,13 +62,13 @@ func (s *Softmax) Replicate() Layer { return &Softmax{} }
 // Replicate implements Replicable.
 func (l *LeakyReLU) Replicate() Layer { return &LeakyReLU{Alpha: l.Alpha} }
 
-// Replica returns a worker replica of the whole network — every layer
+// replica returns a worker replica of the whole network — every layer
 // replicated per Replicable, the loss shared (losses are stateless
 // values), no optimizer — or (nil, false) if any layer does not support
 // replication. The replica is suitable for concurrent Forward/Backward
 // while parameters are quiescent; its accumulated gradients are read via
 // Grads as usual.
-func (n *Network) Replica() (*Network, bool) {
+func (n *Network) replica() (*Network, bool) {
 	layers := make([]Layer, len(n.layers))
 	for i, l := range n.layers {
 		r, ok := l.(Replicable)

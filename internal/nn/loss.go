@@ -85,12 +85,7 @@ func (h Huber) Loss(pred, target *tensor.Tensor) float64 {
 	d := h.delta()
 	sum := 0.0
 	for i, p := range pred.Data() {
-		e := math.Abs(p - target.Data()[i])
-		if e <= d {
-			sum += 0.5 * e * e
-		} else {
-			sum += d * (e - 0.5*d)
-		}
+		sum += huberTerm(p-target.Data()[i], d)
 	}
 	return sum / float64(pred.Size())
 }
@@ -109,21 +104,94 @@ func (h Huber) GradInto(dst, pred, target *tensor.Tensor) *tensor.Tensor {
 	od := dst.Data()
 	td := target.Data()
 	for i, p := range pred.Data() {
-		e := p - td[i]
-		switch {
-		case e > d:
-			od[i] = d / n
-		case e < -d:
-			od[i] = -d / n
-		default:
-			od[i] = e / n
-		}
+		od[i] = huberSlope(p-td[i], d, n)
 	}
 	return dst
 }
 
 // Name implements Loss.
 func (h Huber) Name() string { return "huber" }
+
+// huberTerm is one element's Huber loss at error e.
+func huberTerm(e, d float64) float64 {
+	e = math.Abs(e)
+	if e <= d {
+		return 0.5 * e * e
+	}
+	return d * (e - 0.5*d)
+}
+
+// huberSlope is one element's Huber gradient at error e, divided by n.
+func huberSlope(e, d, n float64) float64 {
+	switch {
+	case e > d:
+		return d / n
+	case e < -d:
+		return -d / n
+	default:
+		return e / n
+	}
+}
+
+// TDHuber is the Huber loss of a Q-learning temporal-difference update.
+// Its target is the pair (action, y): only the taken action's Q-value is
+// regressed toward the bootstrap y. Loss and GradInto equal Huber against
+// the vector that copies pred and holds y at action, element for element
+// (NaN and ±Inf predictions included), without materializing it. It uses
+// Huber's default delta.
+type TDHuber struct{}
+
+// tdTarget validates a (action, y) target against pred, returning both.
+func tdTarget(pred, target *tensor.Tensor) (int, float64) {
+	if target.Size() != 2 {
+		auerr.Failf("nn: TD target must be (action, y), got %d values", target.Size())
+	}
+	a := target.Data()[0]
+	if a != math.Trunc(a) || a < 0 || a >= float64(pred.Size()) {
+		auerr.Failf("nn: TD target action %v is not an index below %d", a, pred.Size())
+	}
+	return int(a), target.Data()[1]
+}
+
+// Loss returns the mean Huber loss against pred with y at action.
+func (TDHuber) Loss(pred, target *tensor.Tensor) float64 {
+	a, y := tdTarget(pred, target)
+	d := Huber{}.delta()
+	sum := 0.0
+	for i, p := range pred.Data() {
+		t := p
+		if i == a {
+			t = y
+		}
+		sum += huberTerm(p-t, d)
+	}
+	return sum / float64(pred.Size())
+}
+
+// Grad returns the TD Huber gradient divided by n.
+func (h TDHuber) Grad(pred, target *tensor.Tensor) *tensor.Tensor {
+	return h.GradInto(tensor.New(pred.Shape()...), pred, target)
+}
+
+// GradInto writes the TD Huber gradient divided by n into dst.
+func (TDHuber) GradInto(dst, pred, target *tensor.Tensor) *tensor.Tensor {
+	a, y := tdTarget(pred, target)
+	checkSameSize(dst, pred)
+	d := Huber{}.delta()
+	n := float64(pred.Size())
+	od := dst.Data()
+	for i, p := range pred.Data() {
+		t := p
+		if i == a {
+			t = y
+		}
+		od[i] = huberSlope(p-t, d, n)
+	}
+	return dst
+}
+
+// Name implements Loss.
+func (TDHuber) Name() string { return "td-huber" }
 
 // CrossEntropy is the categorical cross-entropy loss over a softmax
 // output; the target must be a one-hot (or soft) distribution. Its Grad

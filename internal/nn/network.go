@@ -272,12 +272,6 @@ func (n *Network) batchWorkers(b int) int {
 	return w
 }
 
-// DataParallelWidth reports the data-parallel width TrainBatch would use
-// for a batch of b examples. External training loops (the DQN replay
-// update) use it to shard their own batches consistently with this
-// network's SetMaxWorkers cap.
-func (n *Network) DataParallelWidth(b int) int { return n.batchWorkers(b) }
-
 // forwardBackwardParallel runs forward/loss/backward for every example on
 // w worker replicas, leaving per-example losses in n.itemLoss and
 // per-example gradients in n.itemGrads. It returns false (leaving no
@@ -334,29 +328,13 @@ func (n *Network) forwardBackwardParallel(ins, targets []*tensor.Tensor, w int) 
 // reporting whether replication is possible.
 func (n *Network) ensureReplicas(w int) bool {
 	for len(n.replicas) < w {
-		rep, ok := n.Replica()
+		rep, ok := n.replica()
 		if !ok {
 			return false
 		}
 		n.replicas = append(n.replicas, rep)
 	}
 	return true
-}
-
-// CopyParamsFrom copies all parameters from src (used to sync DQN target
-// networks). The architectures must match exactly.
-func (n *Network) CopyParamsFrom(src *Network) {
-	dst := n.Params()
-	sp := src.Params()
-	if len(dst) != len(sp) {
-		auerr.Failf("nn: CopyParamsFrom architecture mismatch")
-	}
-	for i := range dst {
-		if dst[i].Size() != sp[i].Size() {
-			auerr.Failf("nn: CopyParamsFrom tensor %d size mismatch", i)
-		}
-		copy(dst[i].Data(), sp[i].Data())
-	}
 }
 
 // String summarizes the architecture, e.g.

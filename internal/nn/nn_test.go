@@ -286,25 +286,6 @@ func TestLoadRejectsWrongArchitecture(t *testing.T) {
 	}
 }
 
-func TestCopyParamsFrom(t *testing.T) {
-	rng := stats.NewRNG(14)
-	a := NewDNN(3, []int{4}, 2, rng)
-	b := NewDNN(3, []int{4}, 2, stats.NewRNG(15))
-	b.CopyParamsFrom(a)
-	in := []float64{0.3, -0.7, 1.1}
-	pa, pb := a.Predict(in), b.Predict(in)
-	for i := range pa {
-		if pa[i] != pb[i] {
-			t.Fatalf("CopyParamsFrom mismatch: %v vs %v", pa, pb)
-		}
-	}
-	// Mutating the copy must not affect the source (deep copy).
-	b.Params()[0].Data()[0] += 1
-	if a.Params()[0].Data()[0] == b.Params()[0].Data()[0] {
-		t.Error("CopyParamsFrom aliased tensors")
-	}
-}
-
 func TestParamCount(t *testing.T) {
 	rng := stats.NewRNG(16)
 	n := NewDNN(10, []int{5}, 2, rng)

@@ -96,7 +96,7 @@ func TestParallelTrainingDeterminism(t *testing.T) {
 // same tensors, gradients are not.
 func TestReplicaSharesParams(t *testing.T) {
 	net := NewDNN(4, []int{8}, 2, stats.NewRNG(1))
-	rep, ok := net.Replica()
+	rep, ok := net.replica()
 	if !ok {
 		t.Fatal("DNN should be replicable")
 	}
@@ -128,7 +128,7 @@ func TestDropoutFallsBackSequential(t *testing.T) {
 		NewDropout(0.2, rng.Split()),
 		NewDense(8, 2, rng.Split()),
 	)
-	if _, ok := net.Replica(); ok {
+	if _, ok := net.replica(); ok {
 		t.Fatal("dropout network must not be replicable")
 	}
 	net.UseAdam(1e-3)

@@ -6,7 +6,6 @@ import (
 	"github.com/autonomizer/autonomizer/internal/auerr"
 	"github.com/autonomizer/autonomizer/internal/nn"
 	"github.com/autonomizer/autonomizer/internal/obs"
-	"github.com/autonomizer/autonomizer/internal/parallel"
 	"github.com/autonomizer/autonomizer/internal/stats"
 	"github.com/autonomizer/autonomizer/internal/tensor"
 )
@@ -26,7 +25,7 @@ type Config struct {
 	BatchSize int
 	// ReplayCapacity bounds the experience buffer (default 10000).
 	ReplayCapacity int
-	// TargetSyncEvery is the target-network refresh interval in training
+	// TargetSyncEvery is the target-plan refresh interval in training
 	// steps (default 250).
 	TargetSyncEvery int
 	// LearnEvery trains once per this many Observe calls (default 1).
@@ -40,7 +39,7 @@ type Config struct {
 	// forward pass (needed for CNN models over (C,H,W) screens).
 	StateShape []int
 	// DoubleDQN selects van Hasselt-style double Q-learning: the online
-	// network chooses the bootstrap action and the target network
+	// network chooses the bootstrap action and the target plan
 	// evaluates it, reducing the max-operator's overestimation bias.
 	DoubleDQN bool
 }
@@ -82,37 +81,36 @@ func (c *Config) fillDefaults() {
 }
 
 // Agent is a deep Q-learning agent: an online network selects actions,
-// a periodically synced target network supplies bootstrap values, and
-// experience replay decorrelates updates. It implements the paper's "Q"
-// training algorithm invoked by au_NN in TR mode.
+// a compiled plan of periodically snapshotted online weights supplies
+// bootstrap values, and experience replay decorrelates updates. It
+// implements the paper's "Q" training algorithm invoked by au_NN in TR
+// mode.
 type Agent struct {
 	cfg     Config
 	online  *nn.Network
-	target  *nn.Network
 	buffer  *ReplayBuffer
 	rng     *stats.RNG
 	actions int
 	steps   int
 	trained int
-	// opt is created lazily so an agent constructed for TS (production)
-	// mode never allocates optimizer state.
-	opt nn.Optimizer
 
-	// Data-parallel scratch for the replay update, reused across Observe
-	// calls: per-worker replicas of both networks plus per-transition
-	// gradient/loss buffers (reduced in transition order, so updates are
-	// bit-identical to the sequential loop at any worker count).
-	onlineReps, targetReps []*nn.Network
-	itemGrads              [][]*tensor.Tensor
-	itemLoss               []float64
+	// target is the compiled snapshot of the online weights that scores
+	// bootstraps (DESIGN.md §5g: frozen weights run the plan). It is
+	// compiled at the first replayed update, so an agent constructed for
+	// TS (production) mode compiles nothing and binds no optimizer, and
+	// again after every TargetSyncEvery-th update.
+	target *nn.PlanInstance
 
-	// stateView is the recycled tensor header stateTensor wraps around
-	// the caller's state slice on the sequential API paths (Act, QValues,
-	// the sequential replay loop), so the Act hot path allocates nothing.
-	// workerViews are the per-worker equivalents for the parallel replay
-	// update, aligned with onlineReps.
-	stateView   *tensor.Tensor
-	workerViews []*tensor.Tensor
+	// Replay-update scratch reused across Observe calls: the sampled
+	// minibatch, the state views and (action, y) targets handed to
+	// online.TrainBatch, and the target plan's Q-values. stateView is
+	// the recycled header for single-state forwards (Act, DoubleDQN's
+	// bootstrap action), so those allocate nothing.
+	batch     []Transition
+	ins       []*tensor.Tensor
+	targets   []*tensor.Tensor
+	nextQ     []float64
+	stateView *tensor.Tensor
 
 	// Telemetry instruments, resolved at construction (nil while
 	// telemetry is disabled; every use is a nil-checked no-op).
@@ -121,23 +119,28 @@ type Agent struct {
 	obsEps   *obs.Gauge
 }
 
-// NewAgent wraps online (and a structurally identical targetNet, which
-// will be overwritten with online's weights) into a DQN agent with
-// `actions` discrete outputs.
-func NewAgent(online, targetNet *nn.Network, actions int, cfg Config, rng *stats.RNG) *Agent {
+// NewAgent wraps online into a DQN agent with `actions` discrete
+// outputs, training it with the TD Huber loss.
+func NewAgent(online *nn.Network, actions int, cfg Config, rng *stats.RNG) *Agent {
 	if actions <= 0 {
 		auerr.Failf("rl: agent needs a positive action count, got %d", actions)
 	}
 	cfg.fillDefaults()
-	targetNet.CopyParamsFrom(online)
+	online.SetLoss(nn.TDHuber{})
+	targets := make([]*tensor.Tensor, cfg.BatchSize)
+	for i := range targets {
+		targets[i] = tensor.New(2)
+	}
 	reg := obs.Default()
 	return &Agent{
 		cfg:     cfg,
 		online:  online,
-		target:  targetNet,
 		buffer:  NewReplayBuffer(cfg.ReplayCapacity, rng.Split()),
 		rng:     rng,
 		actions: actions,
+		batch:   make([]Transition, cfg.BatchSize),
+		ins:     make([]*tensor.Tensor, cfg.BatchSize),
+		targets: targets,
 		obsSteps: reg.Counter("autonomizer_rl_train_steps_total",
 			"Replayed Q-learning updates applied across all agents.", nil),
 		obsLoss: reg.Gauge("autonomizer_rl_last_loss",
@@ -166,42 +169,28 @@ func (a *Agent) Epsilon() float64 {
 // Steps reports how many transitions the agent has observed.
 func (a *Agent) Steps() int { return a.steps }
 
-// stateTensor wraps a caller's state slice in the given recycled tensor
-// header (allocated on first use, nothing thereafter) and returns it.
-// Concurrent callers must pass distinct views: the sequential agent API
-// uses a.stateView, each replay worker its own workerViews slot.
-func (a *Agent) stateTensor(view *tensor.Tensor, s []float64) *tensor.Tensor {
+// stateShape is the network input shape for a state of length n.
+func (a *Agent) stateShape(n int) []int {
 	if len(a.cfg.StateShape) > 0 {
-		return tensor.ViewOf(view, s, a.cfg.StateShape...)
+		return a.cfg.StateShape
 	}
-	return tensor.ViewOf(view, s, len(s))
+	return []int{n}
 }
 
-// seqView returns the sequential-path view header, allocating it once.
-func (a *Agent) seqView() *tensor.Tensor {
-	if a.stateView == nil {
-		a.stateView = &tensor.Tensor{}
-	}
-	return a.stateView
+// forward runs the online network on state through the recycled
+// stateView header.
+func (a *Agent) forward(state []float64) []float64 {
+	a.stateView = tensor.ViewOf(a.stateView, state, a.stateShape(len(state))...)
+	return a.online.Forward(a.stateView).Data()
 }
 
-// QValues returns the online network's action values for state.
-func (a *Agent) QValues(state []float64) []float64 {
-	a.stateView = a.stateTensor(a.stateView, state)
-	out := a.online.Forward(a.stateView)
-	return append([]float64(nil), out.Data()...)
-}
-
-// Act selects an action ε-greedily in training, or greedily when greedy
-// is true (the paper's TS/production mode). The greedy path reads the
-// argmax straight off the network's cached forward buffer — no QValues
-// copy, so steady-state action selection allocates nothing.
-func (a *Agent) Act(state []float64, greedy bool) int {
-	if !greedy && a.rng.Float64() < a.Epsilon() {
+// Act selects an action ε-greedily from the online network (TR mode;
+// deployed TS-mode inference is the compiled plan's argmax in core).
+func (a *Agent) Act(state []float64) int {
+	if a.rng.Float64() < a.Epsilon() {
 		return a.rng.Intn(a.actions)
 	}
-	a.stateView = a.stateTensor(a.stateView, state)
-	return stats.ArgMax(a.online.Forward(a.stateView).Data())
+	return stats.ArgMax(a.forward(state))
 }
 
 // ObserveCtx is the context-aware Observe. Cancellation is checked at
@@ -210,149 +199,74 @@ func (a *Agent) Act(state []float64, greedy bool) int {
 // unit of DQN training. A canceled context returns an error wrapping
 // auerr.ErrCanceled with the agent's networks, replay buffer and step
 // counters untouched, so training can resume from exactly this state.
+// A network the plan compiler rejects fails the first replayed update
+// with an error wrapping auerr.ErrSpecInvalid.
 func (a *Agent) ObserveCtx(ctx context.Context, t Transition) (float64, error) {
 	if ctx != nil && ctx.Err() != nil {
 		return 0, auerr.Canceled(ctx)
 	}
-	return a.Observe(t), nil
+	return a.observe(t)
 }
 
 // Observe records a transition and, past warmup, performs a replayed
-// Q-learning update: target = r (terminal) or r + γ·max_a' Q_target(s',a').
-// It returns the training loss, or 0 when no update ran.
+// Q-learning update: one online.TrainBatch of the TD Huber loss toward
+// y = r (terminal) or r + γ·Q_target(s', a*), where a* is the argmax of
+// Q_target(s', ·), or under DoubleDQN of the online Q(s', ·). The first
+// update binds Adam and compiles the target plan. It returns the training loss, or 0 when no update ran, and
+// panics where ObserveCtx returns an error.
 func (a *Agent) Observe(t Transition) float64 {
-	a.buffer.Add(t)
-	a.steps++
-	if a.buffer.Len() < a.cfg.WarmupSteps || a.steps%a.cfg.LearnEvery != 0 {
-		return 0
+	loss, err := a.observe(t)
+	if err != nil {
+		panic(err)
 	}
-	batch := a.buffer.Sample(a.cfg.BatchSize)
-	if a.online.Params() == nil {
-		return 0
-	}
-	a.ensureOptimizer()
-
-	totalLoss := 0.0
-	if w := a.online.DataParallelWidth(len(batch)); w > 1 && a.observeParallel(batch, w) {
-		// Ordered reduction over transitions: bit-identical to the
-		// sequential accumulation below at any worker count.
-		a.online.ZeroGrads()
-		grads := a.online.Grads()
-		for i := range batch {
-			totalLoss += a.itemLoss[i]
-			for j, g := range grads {
-				g.AddInPlace(a.itemGrads[i][j])
-			}
-		}
-	} else {
-		a.online.ZeroGrads()
-		for _, tr := range batch {
-			pred, targetVec := a.tdPair(a.seqView(), a.online, a.target, tr)
-			totalLoss += dqnLoss.Loss(pred, targetVec)
-			a.online.Backward(dqnLoss.Grad(pred, targetVec))
-		}
-	}
-	grads := a.online.Grads()
-	for _, g := range grads {
-		g.ScaleInPlace(1 / float64(len(batch)))
-	}
-	nn.ClipGradients(grads, 10)
-	a.opt.Step(grads)
-	a.trained++
-	if a.trained%a.cfg.TargetSyncEvery == 0 {
-		a.target.CopyParamsFrom(a.online)
-	}
-	loss := totalLoss / float64(len(batch))
-	a.obsSteps.Inc()
-	a.obsLoss.Set(loss)
-	a.obsEps.Set(a.Epsilon())
 	return loss
 }
 
-func (a *Agent) ensureOptimizer() {
-	if a.opt == nil {
-		a.opt = nn.NewAdam(a.online.Params(), a.cfg.LR)
+func (a *Agent) observe(t Transition) (float64, error) {
+	a.buffer.Add(t)
+	a.steps++
+	if a.buffer.Len() < a.cfg.WarmupSteps || a.steps%a.cfg.LearnEvery != 0 {
+		return 0, nil
 	}
-}
-
-// dqnLoss is the TD-error loss shared by the sequential and parallel
-// update paths.
-var dqnLoss = nn.Huber{Delta: 1}
-
-// tdPair computes one transition's (prediction, bootstrap target) pair on
-// the given online/target networks. Bootstraps come from the target
-// network; under DoubleDQN the online network picks the action and the
-// target network scores it. Only the taken action's Q-value receives
-// gradient.
-func (a *Agent) tdPair(view *tensor.Tensor, online, target *nn.Network, tr Transition) (pred, targetVec *tensor.Tensor) {
-	y := tr.Reward
-	if !tr.Terminal {
-		q := target.Forward(a.stateTensor(view, tr.NextState))
-		var best float64
-		if a.cfg.DoubleDQN {
-			next := online.Forward(a.stateTensor(view, tr.NextState))
-			best = q.Data()[stats.ArgMax(next.Data())]
-		} else {
-			best = q.Data()[stats.ArgMax(q.Data())]
+	if a.trained == 0 {
+		a.online.UseAdam(a.cfg.LR)
+		if err := a.syncTarget(len(t.State)); err != nil {
+			return 0, err
 		}
-		y += a.cfg.Gamma * best
 	}
-	pred = online.Forward(a.stateTensor(view, tr.State))
-	targetVec = pred.Clone()
-	targetVec.Data()[tr.Action] = y
-	return pred, targetVec
-}
-
-// observeParallel computes per-transition losses and gradients on worker
-// replicas, filling a.itemLoss / a.itemGrads. It reports false when the
-// networks cannot be replicated (the caller then runs sequentially).
-// Transitions are assigned to replicas round-robin; since every
-// transition's gradient lands in its own slot, scheduling never affects
-// the reduced result.
-func (a *Agent) observeParallel(batch []Transition, w int) bool {
-	for len(a.onlineReps) < w {
-		oRep, ok := a.online.Replica()
-		if !ok {
-			return false
-		}
-		tRep, ok := a.target.Replica()
-		if !ok {
-			return false
-		}
-		a.onlineReps = append(a.onlineReps, oRep)
-		a.targetReps = append(a.targetReps, tRep)
-	}
-	for len(a.workerViews) < w {
-		a.workerViews = append(a.workerViews, &tensor.Tensor{})
-	}
-	if cap(a.itemLoss) < len(batch) {
-		a.itemLoss = make([]float64, len(batch))
-	}
-	a.itemLoss = a.itemLoss[:len(batch)]
-	for len(a.itemGrads) < len(batch) {
-		var gs []*tensor.Tensor
-		for _, g := range a.online.Grads() {
-			gs = append(gs, tensor.New(g.Shape()...))
-		}
-		a.itemGrads = append(a.itemGrads, gs)
-	}
-	fns := make([]func(), w)
-	for wk := 0; wk < w; wk++ {
-		wk := wk
-		oRep, tRep := a.onlineReps[wk], a.targetReps[wk]
-		view := a.workerViews[wk]
-		fns[wk] = func() {
-			for i := wk; i < len(batch); i += w {
-				oRep.ZeroGrads()
-				pred, targetVec := a.tdPair(view, oRep, tRep, batch[i])
-				a.itemLoss[i] = dqnLoss.Loss(pred, targetVec)
-				oRep.Backward(dqnLoss.Grad(pred, targetVec))
-				for j, g := range oRep.Grads() {
-					copy(a.itemGrads[i][j].Data(), g.Data())
-				}
+	a.buffer.Sample(a.batch)
+	for i, tr := range a.batch {
+		y := tr.Reward
+		if !tr.Terminal {
+			a.nextQ = a.target.PredictInto(a.nextQ, tr.NextState)
+			pick := a.nextQ
+			if a.cfg.DoubleDQN {
+				pick = a.forward(tr.NextState)
 			}
+			y += a.cfg.Gamma * a.nextQ[stats.ArgMax(pick)]
 		}
+		a.ins[i] = tensor.ViewOf(a.ins[i], tr.State, a.stateShape(len(tr.State))...)
+		td := a.targets[i].Data()
+		td[0], td[1] = float64(tr.Action), y
 	}
-	parallel.Run(fns...)
-	return true
+	loss := a.online.TrainBatch(a.ins, a.targets)
+	a.trained++
+	a.obsSteps.Inc()
+	a.obsLoss.Set(loss)
+	a.obsEps.Set(a.Epsilon())
+	if a.trained%a.cfg.TargetSyncEvery == 0 {
+		return loss, a.syncTarget(len(t.State))
+	}
+	return loss, nil
+}
+
+// syncTarget snapshots the online weights into a freshly compiled target
+// plan for states of length n.
+func (a *Agent) syncTarget(n int) error {
+	p, err := nn.Compile(a.online, a.stateShape(n)...)
+	if err != nil {
+		return auerr.E(auerr.ErrSpecInvalid, "rl: compiling the target plan: %v", err)
+	}
+	a.target = p.NewInstance()
+	return nil
 }

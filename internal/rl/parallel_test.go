@@ -15,8 +15,7 @@ func runAgent(t *testing.T, steps int) []byte {
 	t.Helper()
 	rng := stats.NewRNG(11)
 	online := nn.NewDNN(4, []int{16}, 3, rng.Split())
-	target := nn.NewDNN(4, []int{16}, 3, rng.Split())
-	a := NewAgent(online, target, 3, Config{
+	a := NewAgent(online, 3, Config{
 		BatchSize: 8, WarmupSteps: 8, EpsilonDecaySteps: steps, TargetSyncEvery: 10,
 	}, stats.NewRNG(13))
 	env := stats.NewRNG(17)
@@ -24,7 +23,7 @@ func runAgent(t *testing.T, steps int) []byte {
 	for i := 0; i < steps; i++ {
 		next := []float64{env.Float64(), env.Float64(), env.Float64(), env.Float64()}
 		a.Observe(Transition{
-			State: state, Action: a.Act(state, false),
+			State: state, Action: a.Act(state),
 			Reward: env.Range(-1, 1), NextState: next,
 			Terminal: i%25 == 24,
 		})

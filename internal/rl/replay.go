@@ -2,9 +2,10 @@
 // names for interactive programs: Q-learning (Watkins & Dayan) realized
 // as a deep Q-network over either extracted internal program state
 // ("All") or raw screen pixels ("Raw"). It provides the experience
-// replay buffer, ε-greedy exploration, target-network bootstrapping and
-// the per-step training procedure that the Autonomizer runtime invokes
-// from the au_NN primitive in training mode.
+// replay buffer, ε-greedy exploration, bootstrapping from a compiled
+// target plan, and the replayed update — one nn.Network.TrainBatch of
+// the TD Huber loss — that the Autonomizer runtime invokes from the
+// au_NN primitive in training mode.
 package rl
 
 import (
@@ -57,17 +58,15 @@ func (b *ReplayBuffer) Len() int { return len(b.buf) }
 // Cap reports the buffer capacity.
 func (b *ReplayBuffer) Cap() int { return cap(b.buf) }
 
-// Sample draws n transitions uniformly with replacement. It panics if
-// the buffer is empty.
-func (b *ReplayBuffer) Sample(n int) []Transition {
+// Sample fills dst with transitions drawn uniformly with replacement.
+// It panics if the buffer is empty.
+func (b *ReplayBuffer) Sample(dst []Transition) {
 	if len(b.buf) == 0 {
 		auerr.Failf("rl: sampling from empty replay buffer")
 	}
-	out := make([]Transition, n)
-	for i := range out {
-		out[i] = b.buf[b.rng.Intn(len(b.buf))]
+	for i := range dst {
+		dst[i] = b.buf[b.rng.Intn(len(b.buf))]
 	}
-	return out
 }
 
 // TraceBytes estimates the in-memory footprint of the stored experience:

@@ -21,10 +21,10 @@ func TestReplayBufferBasics(t *testing.T) {
 	}
 	// Oldest entries (0, 1) must have been evicted.
 	seen := map[int]bool{}
+	one := make([]Transition, 1)
 	for i := 0; i < 200; i++ {
-		for _, tr := range b.Sample(1) {
-			seen[tr.Action] = true
-		}
+		b.Sample(one)
+		seen[one[0].Action] = true
 	}
 	if seen[0] || seen[1] {
 		t.Errorf("evicted transitions still sampled: %v", seen)
@@ -50,7 +50,7 @@ func TestReplaySampleEmptyPanics(t *testing.T) {
 			t.Error("sampling empty buffer did not panic")
 		}
 	}()
-	b.Sample(1)
+	b.Sample(make([]Transition, 1))
 }
 
 func TestReplayBufferNeverExceedsCap(t *testing.T) {
@@ -84,8 +84,7 @@ func TestTraceBytes(t *testing.T) {
 func TestEpsilonSchedule(t *testing.T) {
 	rng := stats.NewRNG(2)
 	online := nn.NewDNN(2, []int{4}, 2, rng)
-	targetNet := nn.NewDNN(2, []int{4}, 2, rng)
-	a := NewAgent(online, targetNet, 2, Config{EpsilonDecaySteps: 10, WarmupSteps: 1000}, rng)
+	a := NewAgent(online, 2, Config{EpsilonDecaySteps: 10, WarmupSteps: 1000}, rng)
 	if e := a.Epsilon(); e != 1.0 {
 		t.Errorf("initial epsilon = %v, want 1.0", e)
 	}
@@ -103,30 +102,63 @@ func TestEpsilonSchedule(t *testing.T) {
 func TestGreedyActIsArgmax(t *testing.T) {
 	rng := stats.NewRNG(3)
 	online := nn.NewDNN(2, nil, 3, rng)
-	targetNet := nn.NewDNN(2, nil, 3, rng)
-	a := NewAgent(online, targetNet, 3, Config{}, rng)
+	// An ε this small never explores, so Act is the greedy policy.
+	a := NewAgent(online, 3, Config{EpsilonStart: 1e-300, EpsilonEnd: 1e-300}, rng)
 	s := []float64{1, -1}
-	q := a.QValues(s)
-	want := stats.ArgMax(q)
+	want := stats.ArgMax(a.Online().Predict(s))
 	for i := 0; i < 10; i++ {
-		if got := a.Act(s, true); got != want {
+		if got := a.Act(s); got != want {
 			t.Fatalf("greedy Act = %d, want argmax %d", got, want)
 		}
 	}
 }
 
-func TestTargetNetworkSyncedAtConstruction(t *testing.T) {
-	rng := stats.NewRNG(4)
-	online := nn.NewDNN(2, []int{4}, 2, stats.NewRNG(5))
-	targetNet := nn.NewDNN(2, []int{4}, 2, stats.NewRNG(6)) // different init
-	a := NewAgent(online, targetNet, 2, Config{}, rng)
+// TestTargetPlanSnapshot checks the target plan's lifecycle: nothing is
+// compiled during warmup; the first replayed update snapshots the online
+// weights as they were before it trained; the snapshot holds still across
+// fewer than TargetSyncEvery updates while the online network moves; and
+// the sync update snapshots the weights it just produced.
+func TestTargetPlanSnapshot(t *testing.T) {
+	const sync = 4
+	a := NewAgent(nn.NewDNN(2, []int{4}, 2, stats.NewRNG(5)), 2, Config{
+		BatchSize: 4, WarmupSteps: 4, TargetSyncEvery: sync, LR: 0.05,
+	}, stats.NewRNG(4))
 	s := []float64{0.5, -0.5}
-	qo := a.online.Predict(s)
-	qt := a.target.Predict(s)
-	for i := range qo {
-		if qo[i] != qt[i] {
-			t.Fatal("target network not synced with online at construction")
+	observe := func() {
+		a.Observe(Transition{State: []float64{1, 0}, Action: 1, Reward: 1, NextState: []float64{0, 1}})
+	}
+	equal := func(x, y []float64) bool {
+		for i := range x {
+			if x[i] != y[i] {
+				return false
+			}
 		}
+		return len(x) == len(y)
+	}
+	for i := 0; i < 3; i++ {
+		observe()
+	}
+	if a.target != nil {
+		t.Fatal("target plan compiled during warmup")
+	}
+	before := a.Online().Predict(s)
+	observe() // first update
+	snap := a.target.Predict(s)
+	if !equal(snap, before) {
+		t.Fatalf("target snapshot %v, want the pre-update online forward %v", snap, before)
+	}
+	for u := 2; u < sync; u++ {
+		observe()
+		if got := a.target.Predict(s); !equal(got, snap) {
+			t.Fatalf("target moved at update %d: %v, want %v", u, got, snap)
+		}
+	}
+	if equal(a.Online().Predict(s), snap) {
+		t.Fatal("online network did not move; the snapshot check proves nothing")
+	}
+	observe() // sync update
+	if got, want := a.target.Predict(s), a.Online().Predict(s); !equal(got, want) {
+		t.Fatalf("target after sync %v, want online %v", got, want)
 	}
 }
 
@@ -143,8 +175,7 @@ func TestAgentSolvesChainMDP(t *testing.T) {
 		return s
 	}
 	online := nn.NewDNN(chainLen, []int{16}, 2, rng.Split())
-	targetNet := nn.NewDNN(chainLen, []int{16}, 2, rng.Split())
-	a := NewAgent(online, targetNet, 2, Config{
+	a := NewAgent(online, 2, Config{
 		EpsilonDecaySteps: 1500,
 		WarmupSteps:       64,
 		BatchSize:         16,
@@ -155,7 +186,7 @@ func TestAgentSolvesChainMDP(t *testing.T) {
 	pos := 0
 	for step := 0; step < 4000; step++ {
 		s := encode(pos)
-		act := a.Act(s, false)
+		act := a.Act(s)
 		next := pos
 		reward := -0.1
 		terminal := false
@@ -176,7 +207,7 @@ func TestAgentSolvesChainMDP(t *testing.T) {
 		}
 	}
 	for p := 0; p < chainLen-1; p++ {
-		if got := a.Act(encode(p), true); got != 1 {
+		if got := stats.ArgMax(a.Online().Predict(encode(p))); got != 1 {
 			t.Errorf("greedy policy at pos %d = %d, want 1 (right)", p, got)
 		}
 	}
@@ -185,8 +216,7 @@ func TestAgentSolvesChainMDP(t *testing.T) {
 func TestObserveReturnsZeroDuringWarmup(t *testing.T) {
 	rng := stats.NewRNG(8)
 	online := nn.NewDNN(1, nil, 2, rng)
-	targetNet := nn.NewDNN(1, nil, 2, rng)
-	a := NewAgent(online, targetNet, 2, Config{WarmupSteps: 50}, rng)
+	a := NewAgent(online, 2, Config{WarmupSteps: 50}, rng)
 	for i := 0; i < 49; i++ {
 		if loss := a.Observe(Transition{State: []float64{0}, NextState: []float64{0}}); loss != 0 {
 			t.Fatalf("training ran during warmup at step %d", i)
@@ -202,7 +232,7 @@ func TestNewAgentPanicsOnBadActions(t *testing.T) {
 		}
 	}()
 	n := nn.NewDNN(1, nil, 1, rng)
-	NewAgent(n, nn.NewDNN(1, nil, 1, rng), 0, Config{}, rng)
+	NewAgent(n, 0, Config{}, rng)
 }
 
 func TestConfigDefaults(t *testing.T) {
@@ -227,8 +257,7 @@ func TestDoubleDQNSolvesChain(t *testing.T) {
 		return s
 	}
 	online := nn.NewDNN(chainLen, []int{16}, 2, rng.Split())
-	targetNet := nn.NewDNN(chainLen, []int{16}, 2, rng.Split())
-	a := NewAgent(online, targetNet, 2, Config{
+	a := NewAgent(online, 2, Config{
 		EpsilonDecaySteps: 1500,
 		WarmupSteps:       64,
 		BatchSize:         16,
@@ -240,7 +269,7 @@ func TestDoubleDQNSolvesChain(t *testing.T) {
 	pos := 0
 	for step := 0; step < 4000; step++ {
 		s := encode(pos)
-		act := a.Act(s, false)
+		act := a.Act(s)
 		next := pos
 		reward := -0.1
 		terminal := false
@@ -261,7 +290,7 @@ func TestDoubleDQNSolvesChain(t *testing.T) {
 		}
 	}
 	for p := 0; p < chainLen-1; p++ {
-		if got := a.Act(encode(p), true); got != 1 {
+		if got := stats.ArgMax(a.Online().Predict(encode(p))); got != 1 {
 			t.Errorf("double-DQN greedy policy at pos %d = %d, want 1", p, got)
 		}
 	}

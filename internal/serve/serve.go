@@ -383,7 +383,7 @@ func (s *Server) handleAct(w http.ResponseWriter, r *http.Request) {
 		code = writeError(w, err)
 		return
 	}
-	// Greedy argmax over the Q-vector — the TS-mode rl.Agent.Act path,
+	// Greedy argmax over the Q-vector — Test-mode au_NN's plan argmax,
 	// so remote NNRL picks exactly the action the embedded runtime would.
 	enc := s.met.stageTimer(stageResponseEncode)
 	writeJSON(w, ActResponse{Action: stats.ArgMax(q)})

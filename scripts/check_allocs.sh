@@ -18,6 +18,10 @@
 #                       batch path pays a few WaitGroup/closure headers
 #                       per parallel.Run call — fixed-size dispatch
 #                       cost, never data-sized traffic)
+#   DQNObserve      TrainBatch's budget (one replayed Q-learning update:
+#                       bootstraps on the compiled target plan, then one
+#                       TrainBatch; the target sync recompiles the plan
+#                       once per 250 updates, amortized over them)
 #
 # Budgets are overridable (MAX_ALLOCS_<NAME>) so a future PR can land a
 # conscious regression without rewriting the gate.
@@ -31,7 +35,7 @@ MAX_ALLOCS_CNNFORWARD="${MAX_ALLOCS_CNNFORWARD:-0}"
 MAX_ALLOCS_CNNFORWARDTRAIN="${MAX_ALLOCS_CNNFORWARDTRAIN:-0}"
 MAX_ALLOCS_TRAINBATCH="${MAX_ALLOCS_TRAINBATCH:-8}"
 
-out=$(go test -bench 'BenchmarkKernels/(NetworkForward|ServedPredict|CNNForward|CNNForwardTrain|TrainBatch)$' \
+out=$(go test -bench 'BenchmarkKernels/(NetworkForward|ServedPredict|CNNForward|CNNForwardTrain|TrainBatch|DQNObserve)$' \
     -benchmem -benchtime 100x -run '^$' ./internal/bench/)
 printf '%s\n' "$out"
 
@@ -59,4 +63,5 @@ check ServedPredict "$MAX_ALLOCS_SERVEDPREDICT"
 check CNNForward "$MAX_ALLOCS_CNNFORWARD"
 check CNNForwardTrain "$MAX_ALLOCS_CNNFORWARDTRAIN"
 check TrainBatch "$MAX_ALLOCS_TRAINBATCH"
+check DQNObserve "$MAX_ALLOCS_TRAINBATCH"
 exit "$fail"
