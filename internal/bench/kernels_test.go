@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"github.com/autonomizer/autonomizer/internal/nn"
-	"github.com/autonomizer/autonomizer/internal/parallel"
 	"github.com/autonomizer/autonomizer/internal/rl"
 	"github.com/autonomizer/autonomizer/internal/stats"
 	"github.com/autonomizer/autonomizer/internal/tensor"
@@ -30,8 +29,9 @@ func benchDNN() *nn.Network {
 	return net
 }
 
-// benchCNN builds a small conv stack exercising im2col, the blocked
-// matmul and the transpose-free backward kernels.
+// benchCNN builds a small conv stack: its training forward and backward
+// run the implicit-GEMM ConvKernel, its compiled plan the prepacked
+// PackedConv.
 func benchCNN() *nn.Network {
 	rng := stats.NewRNG(7)
 	return nn.NewNetwork(
@@ -43,13 +43,12 @@ func benchCNN() *nn.Network {
 	)
 }
 
-// BenchmarkKernels is the kernel-layer benchmark suite behind
+// BenchmarkKernels is the nn-level benchmark suite behind
 // BENCH_kernels.json and the CI allocs gate (scripts/check_allocs.sh).
-// Sub-benchmarks:
+// The kernel-level pairs behind scripts/check_kernels.sh (matmul and
+// conv, reference vs production) live in package tensor's
+// BenchmarkKernels. Sub-benchmarks:
 //
-//   - MatMulNaive/MatMulBlocked at 64/192/512: the blocked-vs-naive
-//     speedup, single-core (SetWorkers(1)) so the comparison isolates
-//     cache blocking from sharding.
 //   - Dense/Conv2D forward+backward: layer-level steady state.
 //   - NetworkForward, TrainBatch, ServedPredict, DQNObserve: end-to-end
 //     allocs/op — NetworkForward and ServedPredict must report 0
@@ -57,27 +56,6 @@ func benchCNN() *nn.Network {
 //     Q-learning update, which runs TrainBatch) share a fixed small
 //     budget (see check_allocs.sh).
 func BenchmarkKernels(b *testing.B) {
-	for _, size := range []int{64, 192, 512} {
-		a, bb := tensor.New(size, size), tensor.New(size, size)
-		fillKernel(a, 1)
-		fillKernel(bb, 2)
-		dst := tensor.New(size, size)
-		b.Run(sizeName("MatMulNaive", size), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				tensor.MatMulNaiveInto(dst, a, bb)
-			}
-		})
-		b.Run(sizeName("MatMulBlocked", size), func(b *testing.B) {
-			defer parallel.SetWorkers(parallel.SetWorkers(1))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				tensor.MatMulInto(dst, a, bb)
-			}
-		})
-	}
-
 	b.Run("DenseForwardBackward", func(b *testing.B) {
 		rng := stats.NewRNG(7)
 		d := nn.NewDense(256, 128, rng)
@@ -107,76 +85,6 @@ func BenchmarkKernels(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			c.Forward(in)
 			c.Backward(grad)
-		}
-	})
-
-	// ConvForward/ConvBackward pairs: the materialized im2col+GEMM
-	// lowering versus the implicit-GEMM kernel on the same geometry,
-	// single-width so the comparison isolates the gather fusion from
-	// sharding. These rows back the conv speedup floor in
-	// scripts/check_kernels.sh.
-	convGeomRun := func() (in, w, gout *tensor.Tensor) {
-		in = tensor.New(4, 32, 32)
-		w = tensor.New(8, 4*3*3)
-		gout = tensor.New(8, 32*32)
-		fillKernel(in, 21)
-		fillKernel(w, 22)
-		fillKernel(gout, 23)
-		return in, w, gout
-	}
-
-	b.Run("ConvForwardIm2Col", func(b *testing.B) {
-		defer parallel.SetWorkers(parallel.SetWorkers(1))
-		in, w, _ := convGeomRun()
-		cols := tensor.New(4*3*3, 32*32)
-		out := tensor.New(8, 32*32)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			tensor.Im2ColInto(cols, in, 3, 3, 1, 1)
-			tensor.MatMulInto(out, w, cols)
-		}
-	})
-
-	b.Run("ConvForwardImplicit", func(b *testing.B) {
-		defer parallel.SetWorkers(parallel.SetWorkers(1))
-		in, w, _ := convGeomRun()
-		ck := tensor.NewConvKernel(tensor.NewConvGeom(4, 32, 32, 3, 3, 1, 1, 8))
-		out := make([]float64, 8*32*32)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			ck.Forward(out, in.Data(), w.Data())
-		}
-	})
-
-	b.Run("ConvBackwardIm2Col", func(b *testing.B) {
-		defer parallel.SetWorkers(parallel.SetWorkers(1))
-		in, w, gout := convGeomRun()
-		cols := tensor.New(4*3*3, 32*32)
-		tensor.Im2ColInto(cols, in, 3, 3, 1, 1)
-		gradW := tensor.New(8, 4*3*3)
-		gradCols := tensor.New(4*3*3, 32*32)
-		gradIn := tensor.New(4, 32, 32)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			tensor.MatMulABTInto(gradW, gout, cols)
-			tensor.MatMulATBInto(gradCols, w, gout)
-			tensor.Col2ImInto(gradIn, gradCols, 4, 32, 32, 3, 3, 1, 1)
-		}
-	})
-
-	b.Run("ConvBackwardImplicit", func(b *testing.B) {
-		defer parallel.SetWorkers(parallel.SetWorkers(1))
-		in, w, gout := convGeomRun()
-		ck := tensor.NewConvKernel(tensor.NewConvGeom(4, 32, 32, 3, 3, 1, 1, 8))
-		gradW := make([]float64, 8*4*3*3)
-		gradIn := make([]float64, 4*32*32)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			ck.Backward(gradW, gradIn, in.Data(), w.Data(), gout.Data())
 		}
 	})
 
@@ -293,15 +201,4 @@ func BenchmarkKernels(b *testing.B) {
 			observe(warm + i)
 		}
 	})
-}
-
-func sizeName(base string, size int) string {
-	switch size {
-	case 64:
-		return base + "64"
-	case 192:
-		return base + "192"
-	default:
-		return base + "512"
-	}
 }

@@ -11,39 +11,47 @@ import (
 	"github.com/autonomizer/autonomizer/internal/tensor"
 )
 
-// speedupWorkload is the NN hot path the parallel engine shards: a
-// MatMul above the row-sharding cutoff plus one data-parallel training
-// batch on a mid-sized DNN.
+// speedupWorkload is the NN hot path the parallel engine shards: one
+// training-path convolution forward and backward on the bench geometry
+// (4×32×32 → 8, 3×3, stride 1, pad 1) through the production ConvKernel,
+// which shards its output panels and input channels over the pool, plus
+// one data-parallel training batch on a mid-sized DNN.
 func speedupWorkload(b *testing.B) {
 	b.Helper()
 	rng := stats.NewRNG(5)
-	dim := 192
-	x := tensor.New(dim, dim)
-	y := tensor.New(dim, dim)
-	for i := range x.Data() {
-		x.Data()[i] = rng.Range(-1, 1)
-		y.Data()[i] = rng.Range(-1, 1)
+	ck := tensor.NewConvKernel(tensor.NewConvGeom(4, 32, 32, 3, 3, 1, 1, 8))
+	in := make([]float64, 4*32*32)
+	w := make([]float64, 8*4*3*3)
+	gout := make([]float64, 8*32*32)
+	for _, s := range [][]float64{in, w, gout} {
+		for i := range s {
+			s[i] = rng.Range(-1, 1)
+		}
 	}
+	out := make([]float64, 8*32*32)
+	gradW := make([]float64, 8*4*3*3)
+	gradIn := make([]float64, 4*32*32)
 	net := nn.NewDNN(64, []int{128, 64}, 16, rng.Split())
 	net.UseAdam(1e-3)
 	batch := 32
 	ins := make([]*tensor.Tensor, batch)
 	outs := make([]*tensor.Tensor, batch)
 	for i := range ins {
-		in := make([]float64, 64)
-		out := make([]float64, 16)
-		for j := range in {
-			in[j] = rng.Range(-1, 1)
+		x := make([]float64, 64)
+		y := make([]float64, 16)
+		for j := range x {
+			x[j] = rng.Range(-1, 1)
 		}
-		for j := range out {
-			out[j] = rng.Range(-1, 1)
+		for j := range y {
+			y[j] = rng.Range(-1, 1)
 		}
-		ins[i] = tensor.FromSlice(in, 64)
-		outs[i] = tensor.FromSlice(out, 16)
+		ins[i] = tensor.FromSlice(x, 64)
+		outs[i] = tensor.FromSlice(y, 16)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tensor.MatMul(x, y)
+		ck.Forward(out, in, w)
+		ck.Backward(gradW, gradIn, in, w, gout)
 		net.TrainBatch(ins, outs)
 	}
 }

@@ -79,15 +79,3 @@ func ForCtx(ctx context.Context, n, grain int, fn func(lo, hi int)) error {
 	}
 	return nil
 }
-
-// RunCtx executes the functions, possibly concurrently, stopping the
-// dispatch of not-yet-started functions when ctx is canceled. Functions
-// already started run to completion; the returned error reports whether
-// any were skipped (wrapping auerr.ErrCanceled) or nil if all ran.
-func RunCtx(ctx context.Context, fns ...func()) error {
-	return ForCtx(ctx, len(fns), 1, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			fns[i]()
-		}
-	})
-}

@@ -111,16 +111,3 @@ func TestForReraisesShardPanicOnCaller(t *testing.T) {
 		}
 	})
 }
-
-func TestRunCtx(t *testing.T) {
-	var a, b atomic.Bool
-	if err := RunCtx(context.Background(),
-		func() { a.Store(true) },
-		func() { b.Store(true) },
-	); err != nil {
-		t.Fatal(err)
-	}
-	if !a.Load() || !b.Load() {
-		t.Error("not all functions ran")
-	}
-}

@@ -238,47 +238,18 @@ func ensurePool(n int) {
 // persistent closure over mutable per-call fields (see
 // tensor.ConvKernel) instead of building a fresh closure per call.
 func For(n, grain int, fn func(lo, hi int)) {
-	forChunks(n, grain, 1, fn)
-}
-
-// ForAligned is For with chunk boundaries rounded to multiples of align,
-// the grain math for tiled kernels: a cache-blocked matmul that processes
-// rows in register blocks of 4 wants every chunk (except the last) to
-// hold a whole number of blocks, so no worker pays the ragged-edge scalar
-// path in the middle of the range. Boundaries still depend only on
-// (n, grain, align, width) — never on scheduling — so the determinism
-// contract of For carries over unchanged.
-func ForAligned(n, grain, align int, fn func(lo, hi int)) {
-	if align <= 1 {
-		align = 1
-	}
-	forChunks(n, grain, align, fn)
-}
-
-// forChunks is the shared sharding engine behind For and ForAligned:
-// it computes chunk boundaries in units of align (1 for For) and scales
-// them back to elements when building tasks, so the aligned form needs
-// no wrapper closure around fn — one less per-call heap allocation.
-func forChunks(n, grain, align int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
 	if grain < 1 {
 		grain = 1
 	}
-	units, ugrain := n, grain
-	if align > 1 {
-		units = (n + align - 1) / align
-		if ugrain = (grain + align - 1) / align; ugrain < 1 {
-			ugrain = 1
-		}
-	}
 	w := Workers()
-	if w <= 1 || units <= ugrain {
+	if w <= 1 || n <= grain {
 		fn(0, n)
 		return
 	}
-	chunks := (units + ugrain - 1) / ugrain
+	chunks := (n + grain - 1) / grain
 	if chunks > w {
 		chunks = w
 	}
@@ -294,22 +265,15 @@ func forChunks(n, grain, align int, fn func(lo, hi int)) {
 	st := forStates.Get().(*forState)
 	st.pnc.val, st.pnc.set = nil, false
 	st.wg.Add(chunks)
-	// Even split: the first (units % chunks) chunks get one extra unit.
-	base, rem := units/chunks, units%chunks
+	// Even split: the first (n % chunks) chunks get one extra element.
+	base, rem := n/chunks, n%chunks
 	lo := 0
 	for c := 0; c < chunks; c++ {
 		hi := lo + base
 		if c < rem {
 			hi++
 		}
-		l, h := lo, hi
-		if align > 1 {
-			l *= align
-			if h *= align; h > n {
-				h = n
-			}
-		}
-		t := task{fn: fn, lo: l, hi: h, wg: &st.wg, pnc: &st.pnc, m: m}
+		t := task{fn: fn, lo: lo, hi: hi, wg: &st.wg, pnc: &st.pnc, m: m}
 		if c == chunks-1 {
 			// Run the last chunk on the calling goroutine: the caller
 			// always contributes instead of idling at Wait.

@@ -55,10 +55,34 @@ func TestForChunkBoundariesDeterministic(t *testing.T) {
 			t.Fatalf("chunking not deterministic at %d: %d vs %d", i, a[i], b[i])
 		}
 	}
+	// The boundaries themselves are part of the contract: an even split
+	// into min(ceil(n/grain), width) chunks, the first n%chunks one longer.
+	for _, tc := range []struct {
+		n, grain int
+		want     [][2]int
+	}{
+		{100, 10, [][2]int{{0, 25}, {25, 50}, {50, 75}, {75, 100}}},
+		{10, 3, [][2]int{{0, 3}, {3, 6}, {6, 8}, {8, 10}}},
+		{7, 3, [][2]int{{0, 3}, {3, 5}, {5, 7}}},
+		{5, 8, [][2]int{{0, 5}}},
+	} {
+		var mu sync.Mutex
+		var got [][2]int
+		For(tc.n, tc.grain, func(lo, hi int) {
+			mu.Lock()
+			got = append(got, [2]int{lo, hi})
+			mu.Unlock()
+		})
+		sort.Slice(got, func(i, j int) bool { return got[i][0] < got[j][0] })
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("For(%d, %d) at width 4: chunks %v, want %v", tc.n, tc.grain, got, tc.want)
+		}
+	}
 }
 
 // TestNestedForDoesNotDeadlock exercises For inside For at a width larger
-// than the physical core count, the shape TrainBatch → MatMul produces.
+// than the physical core count, the shape a sharded TrainBatch running
+// sharded conv kernels produces.
 func TestNestedForDoesNotDeadlock(t *testing.T) {
 	defer SetWorkers(SetWorkers(8))
 	var total atomic.Int64
@@ -93,48 +117,5 @@ func TestRun(t *testing.T) {
 	Run(func() { a.Store(1) }, func() { b.Store(2) }, func() { c.Store(3) })
 	if a.Load() != 1 || b.Load() != 2 || c.Load() != 3 {
 		t.Error("Run skipped a function")
-	}
-}
-
-// TestForAligned checks the tiled-grain variant: every chunk boundary
-// except the final hi lands on a multiple of align, the chunks tile
-// [0, n) exactly, and boundaries are identical across repeated calls
-// (the determinism contract the blocked kernels shard under).
-func TestForAligned(t *testing.T) {
-	defer SetWorkers(SetWorkers(8))
-	for _, tc := range []struct{ n, grain, align int }{
-		{100, 10, 4}, {97, 5, 4}, {16, 1, 4}, {3, 1, 4}, {0, 1, 4}, {64, 8, 1},
-	} {
-		collect := func() [][2]int {
-			var mu sync.Mutex
-			var chunks [][2]int
-			ForAligned(tc.n, tc.grain, tc.align, func(lo, hi int) {
-				mu.Lock()
-				chunks = append(chunks, [2]int{lo, hi})
-				mu.Unlock()
-			})
-			sort.Slice(chunks, func(i, j int) bool { return chunks[i][0] < chunks[j][0] })
-			return chunks
-		}
-		chunks := collect()
-		next := 0
-		for _, c := range chunks {
-			if c[0] != next {
-				t.Fatalf("n=%d: gap/overlap at %d (chunk %v)", tc.n, next, c)
-			}
-			if tc.align > 1 && c[0]%tc.align != 0 {
-				t.Errorf("n=%d: chunk lo %d not aligned to %d", tc.n, c[0], tc.align)
-			}
-			if tc.align > 1 && c[1] != tc.n && c[1]%tc.align != 0 {
-				t.Errorf("n=%d: interior chunk hi %d not aligned to %d", tc.n, c[1], tc.align)
-			}
-			next = c[1]
-		}
-		if next != tc.n {
-			t.Fatalf("n=%d: chunks end at %d", tc.n, next)
-		}
-		if again := collect(); !reflect.DeepEqual(chunks, again) {
-			t.Errorf("n=%d: chunk boundaries changed between calls: %v vs %v", tc.n, chunks, again)
-		}
 	}
 }

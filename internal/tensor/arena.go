@@ -7,10 +7,10 @@ import (
 
 // Arena is a sync.Pool-backed scratch allocator for float64 buffers,
 // keyed by power-of-two size class. It backs the transient scratch the
-// kernels and layers need per call (matmul pack panels, im2col columns)
-// so the steady-state predict and train paths stop touching the heap:
-// after warm-up every Get is served from a pool and every Put recycles
-// the buffer, pointer header and all.
+// kernels and layers need per call (GEBP pack panels, conv gather
+// blocks) so the steady-state predict and train paths stop touching the
+// heap: after warm-up every Get is served from a pool and every Put
+// recycles the buffer, pointer header and all.
 //
 // Buffers travel as *[]float64 so the slice header is recycled along with
 // the backing array (a bare []float64 through sync.Pool would re-box the

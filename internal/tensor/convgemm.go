@@ -1,5 +1,5 @@
 // convgemm.go is the implicit-GEMM convolution engine (DESIGN.md §5j).
-// The im2col lowering in conv.go materializes the full O(C·KH·KW·OH·OW)
+// A materialized im2col lowering builds the full O(C·KH·KW·OH·OW)
 // column matrix before every GEMM — on the CNN hot path that gather (and
 // the panel re-pack of its output) costs more than the multiply itself.
 // Implicit GEMM fuses the two: the im2col index arithmetic moves into
@@ -21,14 +21,15 @@
 //     branches.
 //
 // Determinism contract: every output element's fold is unchanged from
-// the naive reference compositions — forward folds ascending-k (k =
-// channel-major tap index) exactly like Im2Col+MatMulNaiveInto, gradW
-// folds ascending output position exactly like MatMulABTInto, and gradIn
-// folds ascending output channel then scatters in Col2ImInto's exact
-// ch→ky→kx→oy→ox order. Sharding only chooses which tiles compute when.
-// Padding gathers as explicit zeros (never skipped: 0×NaN must stay
-// NaN), and pack-buffer pad lanes only feed accumulators that clipped
-// stores drop. Enforced bit-for-bit by convgemm_test.go across shapes,
+// the materialized reference compositions in the package tests —
+// forward folds ascending-k (k = channel-major tap index) exactly like
+// the im2col matrix times the naive matmul, gradW folds ascending output
+// position exactly like the a×bᵀ reference loop, and gradIn folds
+// ascending output channel then scatters in the col2im reference's
+// exact ch→ky→kx→oy→ox order. Sharding only chooses which tiles compute
+// when. Padding gathers as explicit zeros (never skipped: 0×NaN must
+// stay NaN), and pack-buffer pad lanes only feed accumulators that
+// clipped stores drop. Enforced bit-for-bit by convgemm_test.go across shapes,
 // widths and kernel implementations.
 package tensor
 
@@ -42,7 +43,7 @@ import (
 // kernel taps, stride/padding, and the derived output extent. The
 // implicit-GEMM views it as an OutC×K times K×N product with
 // K = InC·KH·KW (channel-major tap index) and N = OutH·OutW (row-major
-// output position), matching Im2Col's row and column order.
+// output position), matching the im2col matrix's row and column order.
 type ConvGeom struct {
 	InC, InH, InW int
 	KH, KW        int
@@ -58,7 +59,7 @@ type ConvGeom struct {
 }
 
 // NewConvGeom validates a convolution configuration and derives the
-// output extent. It panics on an invalid geometry, mirroring Im2Col.
+// output extent. It panics on an invalid geometry.
 func NewConvGeom(inC, inH, inW, kh, kw, stride, pad, outC int) ConvGeom {
 	if inC <= 0 || inH <= 0 || inW <= 0 || kh <= 0 || kw <= 0 || outC <= 0 || pad < 0 {
 		panic(fmt.Sprintf("tensor: invalid conv geometry inC=%d in=%dx%d k=%dx%d outC=%d pad=%d",
@@ -211,9 +212,10 @@ func convGatherRun(packed, in []float64, nr, hop, di, j, count, si, stride int) 
 // ((kk/KW)%KH, kk%KW) over output position (pos/OutW, pos%OutW), zero
 // where the tap lands in padding. Rows gather as runs — a zero fill, a
 // contiguous copy (stride 1) or a strided loop — instead of the
-// branch-per-element im2colRows walk. Lanes past column N in the ragged
-// last panel are zeroed; they only feed accumulators that clipped stores
-// drop. packed must hold (pHi-pLo)·K·nr elements.
+// branch-per-element walk of the materialized im2col reference. Lanes
+// past column N in the ragged last panel are zeroed; they only feed
+// accumulators that clipped stores drop. packed must hold
+// (pHi-pLo)·K·nr elements.
 func packConvCols(packed, in []float64, g *ConvGeom, nr, pLo, pHi int) {
 	k, n := g.K(), g.Cols()
 	colLo := pLo * nr
@@ -398,10 +400,10 @@ func packConvColsT(packed, in []float64, g *ConvGeom, nr, pLo, pHi int) {
 
 // scatterConvChannel is the fused col2im-accumulate for one input
 // channel: it zeroes the channel's (InH, InW) plane of gradIn and
-// accumulates the channel's (KH·KW × N) cols-gradient stripe in
-// Col2ImInto's exact order — ky→kx ascending tap, then oy→ox ascending
-// position, one += per in-bounds element — with the padding skips
-// precomputed as run clips instead of per-element branches.
+// accumulates the channel's (KH·KW × N) cols-gradient stripe in the
+// col2im reference's exact order — ky→kx ascending tap, then oy→ox
+// ascending position, one += per in-bounds element — with the padding
+// skips precomputed as run clips instead of per-element branches.
 func scatterConvChannel(gradIn, stripe []float64, g *ConvGeom, ch int) {
 	n := g.Cols()
 	plane := gradIn[ch*g.InH*g.InW : (ch+1)*g.InH*g.InW]
@@ -594,9 +596,9 @@ func (ck *ConvKernel) runBwdWShard(pLo, pHi int) {
 // runBwdChShard computes the input gradient for channels [chLo, chHi).
 // Per channel: materialize the tiny (KH·KW × OutC) transposed weight
 // block, GEBP it against the once-packed g_out into a per-worker
-// cols-gradient stripe (fold ascending output channel, exactly
-// MatMulATBInto's order), then scatter the stripe onto the channel's
-// input plane in Col2ImInto's order.
+// cols-gradient stripe (fold ascending output channel, exactly the
+// aᵀ×b reference loop's order), then scatter the stripe onto the
+// channel's input plane in the col2im reference's order.
 func (ck *ConvKernel) runBwdChShard(chLo, chHi int) {
 	g := &ck.g
 	k, n := g.K(), g.Cols()
@@ -639,7 +641,7 @@ func (ck *ConvKernel) runBwdChShard(chLo, chHi int) {
 // packed per call (the training path mutates them every step); the
 // compiled serving path prepacks once via PrepackConv instead. Output
 // column panels shard over the worker pool; results are bit-identical
-// to Im2Col+MatMulNaiveInto at any width.
+// to the materialized im2col-plus-naive-matmul reference at any width.
 func (ck *ConvKernel) Forward(out, in, w []float64) {
 	g := &ck.g
 	k, n := g.K(), g.Cols()
@@ -666,8 +668,8 @@ func (ck *ConvKernel) Forward(out, in, w []float64) {
 // association) and the input gradient gradIn (overwritten), without
 // materializing the column matrix or its gradient. gout is the
 // (OutC × N) output gradient; in must be the same buffer passed to the
-// matching Forward. Bit-identical to the
-// MatMulABTInto / MatMulATBInto+Col2ImInto reference at any width.
+// matching Forward. Bit-identical to the materialized a×bᵀ and
+// aᵀ×b-plus-col2im reference compositions at any width.
 func (ck *ConvKernel) Backward(gradWProd, gradIn, in, w, gout []float64) {
 	g := &ck.g
 	k, n := g.K(), g.Cols()

@@ -75,8 +75,8 @@ func diffBits(got, want []float64) int {
 // TestConvKernelBitIdentical drives ConvKernel.Forward/Backward over
 // the geometry table, every implementation, and widths {1, 2, 8},
 // comparing bit-for-bit against the materialized reference compositions
-// (Im2Col+MatMulNaiveInto forward; MatMulABTInto and
-// MatMulATBInto+Col2ImInto backward). This is the determinism contract
+// (Im2Col+MatMulNaiveInto forward; refABT and refATB+Col2ImInto
+// backward). This is the determinism contract
 // of DESIGN.md §5j: sharding and blocking choose when tiles compute,
 // never how an element folds.
 func TestConvKernelBitIdentical(t *testing.T) {
@@ -94,8 +94,8 @@ func TestConvKernelBitIdentical(t *testing.T) {
 
 		cols := Im2Col(inT, tc.kh, tc.kw, tc.stride, tc.pad)
 		wantOut := MatMulNaiveInto(New(tc.outC, n), wT, cols)
-		wantGradW := MatMulABTInto(New(tc.outC, k), gT, cols)
-		gradCols := MatMulATBInto(New(k, n), wT, gT)
+		wantGradW := refABT(gT, cols)
+		gradCols := refATB(wT, gT)
 		wantGradIn := Col2ImInto(New(tc.inC, tc.inH, tc.inW), gradCols,
 			tc.inC, tc.inH, tc.inW, tc.kh, tc.kw, tc.stride, tc.pad)
 

@@ -1,8 +1,7 @@
 // dispatch.go is the init-time CPU-feature dispatch behind the kernel
-// layer (DESIGN.md §5g). PR 5's micro-kernels guarded every math.FMA with
-// a per-call CPU-feature branch on the default (GOAMD64=v1) build, which
-// cost the 4×4 register tile most of its win. Instead of paying that
-// branch per multiply, the feature check now runs exactly once, at
+// layer (DESIGN.md §5g). A per-call CPU-feature branch around every
+// math.FMA would cost the 4×4 register tile most of its win on the
+// default (GOAMD64=v1) build, so the feature check runs exactly once, at
 // package init, and selects a kernelImpl — a table binding the packed
 // matmul micro-kernel (GEBP), the lane-blocked dense forward (GEMV) and
 // their packing geometry. amd64 hosts with FMA+AVX2 get hand-written
@@ -11,7 +10,7 @@
 //
 // Determinism contract: every implementation folds each output element's
 // terms in ascending-k order with the exact operations of the reference
-// kernels (math.FMA for the matmul family, separate multiply-then-add for
+// kernels (math.FMA for the GEBP tile, separate multiply-then-add for
 // the Dot-based dense forward), so results are bit-identical across
 // implementations, builds and worker counts. Packing geometry (panel
 // width nr, dense lane count) varies per implementation, but geometry
@@ -19,15 +18,14 @@
 // per-element fold order.
 package tensor
 
-import "os"
-
 // kernelImpl is one selectable kernel implementation. All fields are
-// bound once at package init; pack-once callers (PackDense, PackB) bake
-// the implementation's geometry into their packed buffers, which is safe
-// precisely because the selection never changes after init.
+// bound once at package init; pack-once callers (PackDense,
+// PrepackConv) bake the implementation's geometry into their packed
+// buffers, which is safe precisely because the selection never changes
+// after init.
 type kernelImpl struct {
 	// name identifies the implementation ("generic", "avx2") for
-	// diagnostics and the AUTONOMIZER_KERNEL override.
+	// diagnostics.
 	name string
 
 	// nr is the packed-B panel width of the GEBP micro-kernel. The
@@ -43,7 +41,7 @@ type kernelImpl struct {
 	// operand, read only for the ragged row tail past the last full
 	// block. The tile form is what lets implicit-GEMM convolution aim
 	// the micro-kernel at arbitrary strided sub-blocks of the output
-	// feature map; gebpRows adapts it back to whole-matrix row sharding.
+	// feature map.
 	gebpTile func(dst []float64, ldd int, a, packedA, packedB []float64, m, k, cols int)
 
 	// lanes is the dense-forward output block width: gemv processes
@@ -77,18 +75,10 @@ var kern = pickKernel()
 // ("avx2", "generic"), for diagnostics and bench provenance.
 func KernelName() string { return kern.name }
 
-// pickKernel selects the kernel implementation: the architecture's
-// accelerated kernels when the CPU supports them, the generic Go kernels
-// otherwise. AUTONOMIZER_KERNEL=generic forces the portable kernels (the
-// escape hatch for A/B benchmarking and for diagnosing a miscompiled
-// accelerated path); AUTONOMIZER_KERNEL=<name> selects an accelerated
-// implementation only if it is actually available.
+// pickKernel selects the architecture's accelerated kernels when the CPU
+// supports them, the generic Go kernels otherwise.
 func pickKernel() *kernelImpl {
-	want := os.Getenv("AUTONOMIZER_KERNEL")
-	if want == genericImpl.name {
-		return genericImpl
-	}
-	if k := archKernel(); k != nil && (want == "" || want == k.name) {
+	if k := archKernel(); k != nil {
 		return k
 	}
 	return genericImpl

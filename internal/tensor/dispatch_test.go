@@ -18,39 +18,37 @@ func TestKernelSelected(t *testing.T) {
 	}
 }
 
-// gebpVia runs one full dst = a×b through a specific implementation's
-// packing geometry and GEBP kernel, sequentially.
-func gebpVia(impl *kernelImpl, a, b *Tensor) *Tensor {
+// gebpVia computes dst = a×b through impl's packing geometry and a
+// single gebpTile call, sequentially, drawing the pack buffers from the
+// Scratch arena: the work a packed, blocked matmul does at worker
+// width 1.
+func gebpVia(impl *kernelImpl, dst, a, b *Tensor) *Tensor {
 	m, k, n := matMulDims(a, b)
-	dst := New(m, n)
+	checkDst(dst, m, n)
 	if m == 0 || n == 0 {
 		return dst
 	}
 	if k == 0 {
+		dst.Fill(0)
 		return dst
 	}
-	panels := (n + impl.nr - 1) / impl.nr
-	packedB := make([]float64, panels*impl.nr*k)
-	packPanels(packedB, b.Data(), k, n, impl.nr)
-	var packedA []float64
-	if blocks := m / microM; blocks > 0 {
-		packedA = make([]float64, blocks*microM*k)
-		packRows(packedA, a.Data(), k, blocks)
-	}
-	gebpRows(impl, dst.Data(), a.Data(), packedA, packedB, 0, m, k, n)
+	pb := Scratch.Get((n + impl.nr - 1) / impl.nr * impl.nr * k)
+	packPanels(*pb, b.data, k, n, impl.nr)
+	blocks := m / microM
+	pa := Scratch.Get(blocks * microM * k)
+	packRows(*pa, a.data, k, blocks)
+	impl.gebpTile(dst.data, n, a.data, *pa, *pb, m, k, n)
+	Scratch.Put(pa)
+	Scratch.Put(pb)
 	return dst
 }
 
 // TestGEBPBitIdenticalAcrossImpls drives every available implementation
-// directly (bypassing MatMulInto's cutoffs) over shapes that hit full
-// tiles, ragged columns for both panel widths, ragged rows, and the
-// special values the zero-skip trap would corrupt. Every implementation
-// must be bit-identical to the naive reference.
+// directly over shapes that hit full tiles, ragged columns for both
+// panel widths, ragged rows, and the special values the zero-skip trap
+// would corrupt. Every implementation must be bit-identical to the naive
+// reference.
 func TestGEBPBitIdenticalAcrossImpls(t *testing.T) {
-	impls := []*kernelImpl{genericImpl}
-	if arch := archKernel(); arch != nil {
-		impls = append(impls, arch)
-	}
 	rng := rand.New(rand.NewSource(7))
 	shapes := [][3]int{
 		{4, 8, 8}, {4, 3, 8}, {8, 16, 16}, {5, 7, 9}, {7, 5, 11},
@@ -76,49 +74,13 @@ func TestGEBPBitIdenticalAcrossImpls(t *testing.T) {
 			b.Data()[n] = 0
 		}
 		want := MatMulNaiveInto(New(m, n), a, b)
-		for _, impl := range impls {
-			got := gebpVia(impl, a, b)
+		for _, impl := range convImpls() {
+			got := gebpVia(impl, New(m, n), a, b)
 			for i, w := range want.Data() {
 				g := got.Data()[i]
 				if math.Float64bits(g) != math.Float64bits(w) {
 					t.Fatalf("%s %dx%dx%d: elem %d = %x, want %x", impl.name, m, k, n, i, math.Float64bits(g), math.Float64bits(w))
 				}
-			}
-		}
-	}
-}
-
-// TestPackedAMulIntoMatchesNaive exercises the pack-once path end to end:
-// PackA + PackB + MulInto must equal the naive reference bit for bit.
-func TestPackedAMulIntoMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for _, sh := range [][3]int{{8, 36, 1024}, {5, 7, 9}, {4, 4, 4}, {1, 3, 2}, {8, 1, 8}} {
-		m, k, n := sh[0], sh[1], sh[2]
-		a := New(m, k)
-		b := New(k, n)
-		for i := range a.Data() {
-			a.Data()[i] = rng.NormFloat64()
-		}
-		for i := range b.Data() {
-			b.Data()[i] = rng.NormFloat64()
-		}
-		pa := PackA(a)
-		packedB := make([]float64, PackedBLen(k, n))
-		PackB(packedB, b)
-		got := pa.MulInto(New(m, n), packedB, n)
-		want := MatMulNaiveInto(New(m, n), a, b)
-		for i, w := range want.Data() {
-			if math.Float64bits(got.Data()[i]) != math.Float64bits(w) {
-				t.Fatalf("%dx%dx%d: elem %d = %v, want %v", m, k, n, i, got.Data()[i], w)
-			}
-		}
-		// Packed weights are a snapshot: mutating a afterwards must not
-		// change the product.
-		a.Data()[0] += 42
-		again := pa.MulInto(New(m, n), packedB, n)
-		for i, w := range want.Data() {
-			if math.Float64bits(again.Data()[i]) != math.Float64bits(w) {
-				t.Fatalf("snapshot violated at elem %d", i)
 			}
 		}
 	}
@@ -150,31 +112,6 @@ func TestPackedDenseMatchesDot(t *testing.T) {
 			want := Dot(w.Data()[o*in:(o+1)*in], x) + bias.Data()[o]
 			if math.Float64bits(got[o]) != math.Float64bits(want) {
 				t.Fatalf("out=%d in=%d: lane %d = %v, want %v", out, in, o, got[o], want)
-			}
-		}
-	}
-}
-
-// TestMatMulIntoStillMatchesNaive re-checks the shared-entry blocked path
-// (now kernel-dispatched) on a size above blockCutoff so the selected
-// implementation actually runs.
-func TestMatMulIntoStillMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for _, sh := range [][3]int{{48, 48, 48}, {37, 53, 29}, {64, 9, 100}} {
-		m, k, n := sh[0], sh[1], sh[2]
-		a := New(m, k)
-		b := New(k, n)
-		for i := range a.Data() {
-			a.Data()[i] = rng.NormFloat64()
-		}
-		for i := range b.Data() {
-			b.Data()[i] = rng.NormFloat64()
-		}
-		got := MatMulInto(New(m, n), a, b)
-		want := MatMulNaiveInto(New(m, n), a, b)
-		for i, w := range want.Data() {
-			if math.Float64bits(got.Data()[i]) != math.Float64bits(w) {
-				t.Fatalf("%dx%dx%d: elem %d = %v, want %v", m, k, n, i, got.Data()[i], w)
 			}
 		}
 	}

@@ -1,26 +1,18 @@
-// kernel.go holds the cache-blocked, destination-passing matrix kernels
-// behind the NN hot path. Three ideas, layered:
+// kernel.go holds the portable GEBP micro-kernel and its packing
+// helpers: the general matrix-matrix product every convolution runs,
+// through ConvKernel (training) and PackedConv (the compiled plan).
+// Operands are packed once per call into contiguous micro-panels — b
+// into panel-major column panels, a into 4-row blocks — and a 4×4
+// register tile folds the whole k loop in registers, so each loaded
+// value feeds 4–16 flops instead of 2. The dispatched implementation
+// (dispatch.go) may swap in a wider assembly tile; the packing helpers
+// take the panel width as a parameter.
 //
-//   - Destination passing: every kernel has an *Into form that writes into
-//     a caller-owned tensor, so steady-state forward/backward passes reuse
-//     layer-owned scratch instead of allocating per call.
-//
-//   - Transpose-free products: MatMulATB computes aᵀ×b and MatMulABT
-//     computes a×bᵀ by index remapping, so the conv/dense backward passes
-//     never materialize a transposed copy just to feed the next multiply.
-//
-//   - Cache blocking: MatMulInto packs b into panel-major micro-panels
-//     (one contiguous stream per 4-column panel) and register-blocks the
-//     inner loop 4×4, so each loaded value is used for 4–16 flops instead
-//     of 2.
-//
-// Determinism contract: every kernel folds each output element's terms
-// with math.FMA in ascending-k order starting from zero (or from the
-// existing destination value, for the Acc variants). Blocking reorders
+// Determinism contract: every output element folds its terms with
+// math.FMA in ascending-k order starting from zero. Blocking reorders
 // which elements are computed when, never the per-element fold order,
-// and sharding assigns whole output rows to workers — so all results are
-// bit-identical to the naive reference kernel at any worker count. The
-// equivalence is enforced by tests against MatMulNaiveInto.
+// so every product is bit-identical to the sequential naive loop kept
+// as a reference in the package tests.
 //
 // math.FMA (fused multiply-add, a single rounding per term) is the
 // per-term operation everywhere, including the naive reference: it
@@ -30,12 +22,7 @@
 // the same order.
 package tensor
 
-import (
-	"fmt"
-	"math"
-
-	"github.com/autonomizer/autonomizer/internal/parallel"
-)
+import "math"
 
 // microM×microN is the register micro-tile: 16 accumulators held in
 // registers across the full k loop, fed by 8 loads per iteration.
@@ -43,118 +30,6 @@ const (
 	microM = 4
 	microN = 4
 )
-
-// blockCutoff is the m·k·n flop count below which the single-pass naive
-// loop beats the pack-and-block path's setup cost.
-const blockCutoff = 8 * 1024
-
-// matMulDims validates a rank-2 product a×b and returns (m, k, n).
-func matMulDims(a, b *Tensor) (m, k, n int) {
-	if len(a.shape) != 2 || len(b.shape) != 2 {
-		panic("tensor: MatMul requires rank-2 tensors")
-	}
-	m, k = a.shape[0], a.shape[1]
-	if b.shape[0] != k {
-		panic(fmt.Sprintf("tensor: MatMul inner dimensions %d vs %d", k, b.shape[0]))
-	}
-	return m, k, b.shape[1]
-}
-
-// checkDst validates a rank-2 destination shape.
-func checkDst(dst *Tensor, m, n int) {
-	if len(dst.shape) != 2 || dst.shape[0] != m || dst.shape[1] != n {
-		panic(fmt.Sprintf("tensor: destination shape %v, want [%d %d]", dst.shape, m, n))
-	}
-}
-
-// rowGrain returns the row-sharding grain for an m-row kernel whose rows
-// cost k·n flops each: enough rows per chunk that each chunk is at least
-// one matMulCutoff worth of work.
-func rowGrain(k, n int) int {
-	if g := matMulCutoff / (k*n + 1); g > 1 {
-		return g
-	}
-	return 1
-}
-
-// MatMulInto computes dst = a×b, overwriting dst (which must be a
-// caller-owned m×n tensor distinct from a and b). Above a size cutoff the
-// kernel packs b into micro-panels from the shared Scratch arena,
-// register-blocks 4×4, and shards output row-blocks over the worker pool;
-// below it, it runs the naive single-pass loop inline. Both paths are
-// bit-identical to MatMulNaiveInto at any worker count.
-func MatMulInto(dst, a, b *Tensor) *Tensor {
-	m, k, n := matMulDims(a, b)
-	checkDst(dst, m, n)
-	if m == 0 || n == 0 {
-		return dst
-	}
-	if k == 0 {
-		dst.Fill(0)
-		return dst
-	}
-	if m*k*n < blockCutoff {
-		matMulNaiveRange(dst.data, a.data, b.data, 0, m, k, n)
-		return dst
-	}
-	panels := (n + kern.nr - 1) / kern.nr
-	pb := Scratch.Get(panels * kern.nr * k)
-	packedB := *pb
-	packPanels(packedB, b.data, k, n, kern.nr)
-	// Pack the full row-blocks of a the same way, so the micro-kernel
-	// streams both operands from contiguous memory. The ragged row tail
-	// (m % 4 rows) reads a directly in the scalar path.
-	rowBlocks := m / microM
-	var pa *[]float64
-	var packedA []float64
-	if rowBlocks > 0 {
-		pa = Scratch.Get(rowBlocks * microM * k)
-		packedA = *pa
-		packRows(packedA, a.data, k, rowBlocks)
-	}
-	parallel.ForAligned(m, rowGrain(k, n), microM, func(lo, hi int) {
-		gebpRows(kern, dst.data, a.data, packedA, packedB, lo, hi, k, n)
-	})
-	if pa != nil {
-		Scratch.Put(pa)
-	}
-	Scratch.Put(pb)
-	return dst
-}
-
-// MatMulNaiveInto is the sequential reference kernel: a single-pass ikj
-// loop with no blocking, no packing and no sharding, folding terms with
-// the same ascending-k math.FMA as the blocked path. It defines the
-// bit-exact semantics every optimized kernel must reproduce, and is the
-// baseline for BenchmarkKernels. Note the inner loop never skips
-// zero multipliers: 0×NaN must stay NaN and 0×Inf must stay NaN, per
-// IEEE-754, so sparse shortcuts are not semantics-preserving.
-func MatMulNaiveInto(dst, a, b *Tensor) *Tensor {
-	m, k, n := matMulDims(a, b)
-	checkDst(dst, m, n)
-	dst.Fill(0)
-	matMulNaiveRange(dst.data, a.data, b.data, 0, m, k, n)
-	return dst
-}
-
-// matMulNaiveRange computes rows [lo, hi) of dst = a×b with the reference
-// ikj loop. dst rows are fully overwritten.
-func matMulNaiveRange(dst, a, b []float64, lo, hi, k, n int) {
-	for i := lo; i < hi; i++ {
-		arow := a[i*k : (i+1)*k]
-		orow := dst[i*n : (i+1)*n]
-		for j := range orow {
-			orow[j] = 0
-		}
-		for kk := 0; kk < k; kk++ {
-			av := arow[kk]
-			brow := b[kk*n : (kk+1)*n]
-			for j, bv := range brow {
-				orow[j] = math.FMA(av, bv, orow[j])
-			}
-		}
-	}
-}
 
 // packPanels packs b (k×n, row-major) into panel-major micro-panels of
 // the active kernel's width nr: for panel p covering columns
@@ -214,19 +89,6 @@ func storeClipped(drow []float64, j0, n int, c0, c1, c2, c3 float64) {
 	default:
 		drow[j0], drow[j0+1], drow[j0+2], drow[j0+3] = c0, c1, c2, c3
 	}
-}
-
-// gebpRows runs an implementation's GEBP tile kernel over output rows
-// [lo, hi) of an m×n product whose packed operands cover the full
-// matrix: the row-sharding adapter behind MatMulInto and MulInto. lo is
-// a multiple of microM (ForAligned), so the local view of packedA starts
-// on a block boundary.
-func gebpRows(impl *kernelImpl, dst, a, packedA, packedB []float64, lo, hi, k, n int) {
-	var pa []float64
-	if off := (lo / microM) * k * microM; off < len(packedA) {
-		pa = packedA[off:]
-	}
-	impl.gebpTile(dst[lo*n:], n, a[lo*k:], pa, packedB, hi-lo, k, n)
 }
 
 // matMulPackedTile computes the m×cols tile dst[i*ldd+j] (i < m,
@@ -352,295 +214,4 @@ func matMulPackedTile(dst []float64, ldd int, a, packedA, packedB []float64, m, 
 			storeClipped(drow, p*microN, cols, c0, c1, c2, c3)
 		}
 	}
-}
-
-// matMulATBDims validates aᵀ×b for a (k×m) and b (k×n).
-func matMulATBDims(a, b *Tensor) (m, k, n int) {
-	if len(a.shape) != 2 || len(b.shape) != 2 {
-		panic("tensor: MatMulATB requires rank-2 tensors")
-	}
-	k, m = a.shape[0], a.shape[1]
-	if b.shape[0] != k {
-		panic(fmt.Sprintf("tensor: MatMulATB inner dimensions %d vs %d", k, b.shape[0]))
-	}
-	return m, k, b.shape[1]
-}
-
-// MatMulATB computes aᵀ×b for a (k×m) and b (k×n) without materializing
-// the transpose, returning a fresh (m×n) tensor.
-func MatMulATB(a, b *Tensor) *Tensor {
-	m, _, n := matMulATBDims(a, b)
-	return MatMulATBInto(New(m, n), a, b)
-}
-
-// MatMulATBInto computes dst = aᵀ×b by index remapping: dst[i][j] =
-// Σ_kk a[kk][i]·b[kk][j], ascending kk — the exact per-element order of
-// MatMulNaiveInto(dst, Transpose(a), b), with no transposed copy. dst is
-// overwritten and sharded by output row at any worker count.
-func MatMulATBInto(dst, a, b *Tensor) *Tensor {
-	m, k, n := matMulATBDims(a, b)
-	checkDst(dst, m, n)
-	if m == 0 || n == 0 {
-		return dst
-	}
-	if k == 0 {
-		dst.Fill(0)
-		return dst
-	}
-	if m*k*n < blockCutoff {
-		matMulATBRange(dst.data, a.data, b.data, 0, m, k, m, n)
-		return dst
-	}
-	parallel.ForAligned(m, rowGrain(k, n), microM, func(lo, hi int) {
-		matMulATBRange(dst.data, a.data, b.data, lo, hi, k, m, n)
-	})
-	return dst
-}
-
-// matMulATBRange computes dst rows [lo, hi) of aᵀ×b. The 4×4 micro-kernel
-// reads four consecutive a columns (contiguous at a[kk·m+i]) and four
-// consecutive b columns (contiguous at b[kk·n+j]) per k step.
-func matMulATBRange(dst, a, b []float64, lo, hi, k, m, n int) {
-	i := lo
-	for ; i+microM <= hi; i += microM {
-		j := 0
-		for ; j+microN <= n; j += microN {
-			var c00, c01, c02, c03 float64
-			var c10, c11, c12, c13 float64
-			var c20, c21, c22, c23 float64
-			var c30, c31, c32, c33 float64
-			for kk := 0; kk < k; kk++ {
-				qa := a[kk*m+i:]
-				_ = qa[3]
-				qb := b[kk*n+j:]
-				_ = qb[3]
-				b0, b1, b2, b3 := qb[0], qb[1], qb[2], qb[3]
-				av := qa[0]
-				c00 = math.FMA(av, b0, c00)
-				c01 = math.FMA(av, b1, c01)
-				c02 = math.FMA(av, b2, c02)
-				c03 = math.FMA(av, b3, c03)
-				av = qa[1]
-				c10 = math.FMA(av, b0, c10)
-				c11 = math.FMA(av, b1, c11)
-				c12 = math.FMA(av, b2, c12)
-				c13 = math.FMA(av, b3, c13)
-				av = qa[2]
-				c20 = math.FMA(av, b0, c20)
-				c21 = math.FMA(av, b1, c21)
-				c22 = math.FMA(av, b2, c22)
-				c23 = math.FMA(av, b3, c23)
-				av = qa[3]
-				c30 = math.FMA(av, b0, c30)
-				c31 = math.FMA(av, b1, c31)
-				c32 = math.FMA(av, b2, c32)
-				c33 = math.FMA(av, b3, c33)
-			}
-			storeClipped(dst[(i+0)*n:(i+1)*n], j, n, c00, c01, c02, c03)
-			storeClipped(dst[(i+1)*n:(i+2)*n], j, n, c10, c11, c12, c13)
-			storeClipped(dst[(i+2)*n:(i+3)*n], j, n, c20, c21, c22, c23)
-			storeClipped(dst[(i+3)*n:(i+4)*n], j, n, c30, c31, c32, c33)
-		}
-		for ; j < n; j++ {
-			var s0, s1, s2, s3 float64
-			for kk := 0; kk < k; kk++ {
-				qa := a[kk*m+i:]
-				_ = qa[3]
-				bv := b[kk*n+j]
-				s0 = math.FMA(qa[0], bv, s0)
-				s1 = math.FMA(qa[1], bv, s1)
-				s2 = math.FMA(qa[2], bv, s2)
-				s3 = math.FMA(qa[3], bv, s3)
-			}
-			dst[(i+0)*n+j] = s0
-			dst[(i+1)*n+j] = s1
-			dst[(i+2)*n+j] = s2
-			dst[(i+3)*n+j] = s3
-		}
-	}
-	for ; i < hi; i++ {
-		drow := dst[i*n : (i+1)*n]
-		for j := range drow {
-			drow[j] = 0
-		}
-		for kk := 0; kk < k; kk++ {
-			av := a[kk*m+i]
-			brow := b[kk*n : (kk+1)*n]
-			for j, bv := range brow {
-				drow[j] = math.FMA(av, bv, drow[j])
-			}
-		}
-	}
-}
-
-// matMulABTDims validates a×bᵀ for a (m×k) and b (n×k).
-func matMulABTDims(a, b *Tensor) (m, k, n int) {
-	if len(a.shape) != 2 || len(b.shape) != 2 {
-		panic("tensor: MatMulABT requires rank-2 tensors")
-	}
-	m, k = a.shape[0], a.shape[1]
-	if b.shape[1] != k {
-		panic(fmt.Sprintf("tensor: MatMulABT inner dimensions %d vs %d", k, b.shape[1]))
-	}
-	return m, k, b.shape[0]
-}
-
-// MatMulABT computes a×bᵀ for a (m×k) and b (n×k) without materializing
-// the transpose, returning a fresh (m×n) tensor.
-func MatMulABT(a, b *Tensor) *Tensor {
-	m, _, n := matMulABTDims(a, b)
-	return MatMulABTInto(New(m, n), a, b)
-}
-
-// MatMulABTInto computes dst = a×bᵀ: dst[i][j] = Σ_kk a[i][kk]·b[j][kk],
-// ascending kk. Both operands stream row-major, so no packing is needed.
-// dst is overwritten.
-func MatMulABTInto(dst, a, b *Tensor) *Tensor {
-	return matMulABT(dst, a, b, false)
-}
-
-// MatMulABTAcc accumulates dst += a×bᵀ directly into the existing
-// destination: each element starts from its current value and adds the
-// Σ_kk terms in ascending-k order. This is the conv/dense gradient
-// accumulation primitive — no product temporary, no AddInPlace pass.
-func MatMulABTAcc(dst, a, b *Tensor) *Tensor {
-	return matMulABT(dst, a, b, true)
-}
-
-func matMulABT(dst, a, b *Tensor, acc bool) *Tensor {
-	m, k, n := matMulABTDims(a, b)
-	checkDst(dst, m, n)
-	if m == 0 || n == 0 {
-		return dst
-	}
-	if k == 0 {
-		if !acc {
-			dst.Fill(0)
-		}
-		return dst
-	}
-	if m*k*n < blockCutoff {
-		matMulABTRange(dst.data, a.data, b.data, 0, m, k, n, acc)
-		return dst
-	}
-	parallel.ForAligned(m, rowGrain(k, n), microM, func(lo, hi int) {
-		matMulABTRange(dst.data, a.data, b.data, lo, hi, k, n, acc)
-	})
-	return dst
-}
-
-// matMulABTRange computes dst rows [lo, hi) of a×bᵀ. The 4×4 micro-kernel
-// streams four a rows against four b rows, all contiguous in k. With acc,
-// accumulators start from the existing destination values.
-func matMulABTRange(dst, a, b []float64, lo, hi, k, n int, acc bool) {
-	i := lo
-	for ; i+microM <= hi; i += microM {
-		a0 := a[(i+0)*k : (i+1)*k]
-		a1 := a[(i+1)*k : (i+2)*k]
-		a2 := a[(i+2)*k : (i+3)*k]
-		a3 := a[(i+3)*k : (i+4)*k]
-		d0 := dst[(i+0)*n : (i+1)*n]
-		d1 := dst[(i+1)*n : (i+2)*n]
-		d2 := dst[(i+2)*n : (i+3)*n]
-		d3 := dst[(i+3)*n : (i+4)*n]
-		j := 0
-		for ; j+microN <= n; j += microN {
-			b0 := b[(j+0)*k : (j+1)*k]
-			b1 := b[(j+1)*k : (j+2)*k]
-			b2 := b[(j+2)*k : (j+3)*k]
-			b3 := b[(j+3)*k : (j+4)*k]
-			var c00, c01, c02, c03 float64
-			var c10, c11, c12, c13 float64
-			var c20, c21, c22, c23 float64
-			var c30, c31, c32, c33 float64
-			if acc {
-				c00, c01, c02, c03 = d0[j], d0[j+1], d0[j+2], d0[j+3]
-				c10, c11, c12, c13 = d1[j], d1[j+1], d1[j+2], d1[j+3]
-				c20, c21, c22, c23 = d2[j], d2[j+1], d2[j+2], d2[j+3]
-				c30, c31, c32, c33 = d3[j], d3[j+1], d3[j+2], d3[j+3]
-			}
-			for kk := 0; kk < k; kk++ {
-				v0, v1, v2, v3 := b0[kk], b1[kk], b2[kk], b3[kk]
-				av := a0[kk]
-				c00 = math.FMA(av, v0, c00)
-				c01 = math.FMA(av, v1, c01)
-				c02 = math.FMA(av, v2, c02)
-				c03 = math.FMA(av, v3, c03)
-				av = a1[kk]
-				c10 = math.FMA(av, v0, c10)
-				c11 = math.FMA(av, v1, c11)
-				c12 = math.FMA(av, v2, c12)
-				c13 = math.FMA(av, v3, c13)
-				av = a2[kk]
-				c20 = math.FMA(av, v0, c20)
-				c21 = math.FMA(av, v1, c21)
-				c22 = math.FMA(av, v2, c22)
-				c23 = math.FMA(av, v3, c23)
-				av = a3[kk]
-				c30 = math.FMA(av, v0, c30)
-				c31 = math.FMA(av, v1, c31)
-				c32 = math.FMA(av, v2, c32)
-				c33 = math.FMA(av, v3, c33)
-			}
-			d0[j], d0[j+1], d0[j+2], d0[j+3] = c00, c01, c02, c03
-			d1[j], d1[j+1], d1[j+2], d1[j+3] = c10, c11, c12, c13
-			d2[j], d2[j+1], d2[j+2], d2[j+3] = c20, c21, c22, c23
-			d3[j], d3[j+1], d3[j+2], d3[j+3] = c30, c31, c32, c33
-		}
-		for ; j < n; j++ {
-			brow := b[j*k : (j+1)*k]
-			var s0, s1, s2, s3 float64
-			if acc {
-				s0, s1, s2, s3 = d0[j], d1[j], d2[j], d3[j]
-			}
-			for kk, bv := range brow {
-				s0 = math.FMA(a0[kk], bv, s0)
-				s1 = math.FMA(a1[kk], bv, s1)
-				s2 = math.FMA(a2[kk], bv, s2)
-				s3 = math.FMA(a3[kk], bv, s3)
-			}
-			d0[j], d1[j], d2[j], d3[j] = s0, s1, s2, s3
-		}
-	}
-	for ; i < hi; i++ {
-		arow := a[i*k : (i+1)*k]
-		drow := dst[i*n : (i+1)*n]
-		for j := range drow {
-			brow := b[j*k : (j+1)*k]
-			var s float64
-			if acc {
-				s = drow[j]
-			}
-			for kk, bv := range brow {
-				s = math.FMA(arow[kk], bv, s)
-			}
-			drow[j] = s
-		}
-	}
-}
-
-// TransposeInto writes the transpose of rank-2 a into dst (n×m),
-// overwriting it. Large inputs shard source rows over the worker pool;
-// each source row writes a disjoint stride-m comb of the output, so the
-// result is unaffected by sharding.
-func TransposeInto(dst, a *Tensor) *Tensor {
-	if len(a.shape) != 2 {
-		panic("tensor: Transpose requires a rank-2 tensor")
-	}
-	m, n := a.shape[0], a.shape[1]
-	checkDst(dst, n, m)
-	grain := m
-	if n > 0 && m*n >= matMulCutoff {
-		if grain = matMulCutoff / n; grain < 1 {
-			grain = 1
-		}
-	}
-	parallel.For(m, grain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			for j := 0; j < n; j++ {
-				dst.data[j*m+i] = a.data[i*n+j]
-			}
-		}
-	})
-	return dst
 }

@@ -3,144 +3,75 @@ package tensor
 import (
 	"math"
 	"testing"
-
-	"github.com/autonomizer/autonomizer/internal/parallel"
 )
 
-// refMatMul is the per-element semantic reference for every product
-// kernel: each output element folds its k terms with math.FMA in
-// ascending order from zero. at/bt select the transpose-free index
-// remappings.
-func refMatMul(a, b *Tensor, at, bt bool) *Tensor {
-	var m, k, n int
-	switch {
-	case at:
-		m, k, n = a.shape[1], a.shape[0], b.shape[1]
-	case bt:
-		m, k, n = a.shape[0], a.shape[1], b.shape[0]
-	default:
-		m, k, n = a.shape[0], a.shape[1], b.shape[1]
+// fillPseudo fills t with a deterministic pseudo-random pattern.
+func fillPseudo(t *Tensor, seed uint64) {
+	s := seed | 1
+	for i := range t.Data() {
+		s ^= s >> 12
+		s ^= s << 25
+		s ^= s >> 27
+		t.Data()[i] = float64(int64(s*0x2545F4914F6CDD1D)) / (1 << 62)
 	}
-	dst := New(m, n)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			s := 0.0
-			for kk := 0; kk < k; kk++ {
-				var av, bv float64
-				if at {
-					av = a.data[kk*m+i]
-				} else {
-					av = a.data[i*k+kk]
-				}
-				if bt {
-					bv = b.data[j*k+kk]
-				} else {
-					bv = b.data[kk*n+j]
-				}
-				s = math.FMA(av, bv, s)
-			}
-			dst.data[i*n+j] = s
-		}
-	}
-	return dst
 }
 
-// kernelShapes covers the edge and straddle cases every kernel must get
+func bitsEqual(t *testing.T, name string, a, b *Tensor) {
+	t.Helper()
+	if a.Size() != b.Size() {
+		t.Fatalf("%s: size %d vs %d", name, a.Size(), b.Size())
+	}
+	for i := range a.Data() {
+		if math.Float64bits(a.Data()[i]) != math.Float64bits(b.Data()[i]) {
+			t.Fatalf("%s: element %d differs: %v vs %v", name, i, a.Data()[i], b.Data()[i])
+		}
+	}
+}
+
+// kernelShapes covers the edge and straddle cases every product must get
 // right: degenerate 1×N / N×1 / 1×1, zero dimensions, shapes straddling
-// the 4×4 register tile, the blockCutoff boundary between the naive and
-// packed paths, and shapes big enough to shard across workers
-// (m·k·n ≥ matMulCutoff).
+// the 4×4 register tile, and mid-sized and large shapes that run many
+// full tiles.
 var kernelShapes = [][3]int{
 	{1, 1, 1}, {1, 7, 1}, {1, 16, 33}, {33, 16, 1},
 	{0, 5, 4}, {5, 0, 4}, {5, 4, 0},
 	{3, 5, 3}, {4, 4, 4}, {5, 9, 7}, {8, 8, 8}, {9, 13, 11},
-	{12, 14, 48},               // 8064 flops: just below blockCutoff
-	{12, 16, 48}, {16, 32, 16}, // just above blockCutoff
-	{64, 64, 64}, {65, 50, 67}, // above matMulCutoff: sharded
+	{12, 14, 48}, {12, 16, 48}, {16, 32, 16},
+	{64, 64, 64}, {65, 50, 67},
 }
 
-func workersList() []int { return []int{1, 2, 8} }
-
-// TestMatMulIntoMatchesNaive checks the blocked kernel is bit-identical
-// to the naive reference at every shape and worker width.
-func TestMatMulIntoMatchesNaive(t *testing.T) {
-	prev := parallel.SetWorkers(1)
-	defer parallel.SetWorkers(prev)
-	for _, sh := range kernelShapes {
-		m, k, n := sh[0], sh[1], sh[2]
-		a, b := New(m, k), New(k, n)
-		fillPseudo(a, 11)
-		fillPseudo(b, 12)
-		want := MatMulNaiveInto(New(m, n), a, b)
-		for _, w := range workersList() {
-			parallel.SetWorkers(w)
-			got := MatMulInto(New(m, n), a, b)
-			bitsEqual(t, "MatMulInto", want, got)
-		}
-	}
-}
-
-// TestMatMulATBMatchesReference checks the transpose-free aᵀ×b kernel
-// against the ascending-k reference at every shape and width.
+// TestMatMulATBMatchesReference checks the transpose-free aᵀ×b loop the
+// conv backward benchmark times folds every element exactly like the
+// naive product over a materialized transpose.
 func TestMatMulATBMatchesReference(t *testing.T) {
-	prev := parallel.SetWorkers(1)
-	defer parallel.SetWorkers(prev)
 	for _, sh := range kernelShapes {
 		m, k, n := sh[0], sh[1], sh[2]
 		a, b := New(k, m), New(k, n) // a is stored transposed
 		fillPseudo(a, 21)
 		fillPseudo(b, 22)
-		want := refMatMul(a, b, true, false)
-		for _, w := range workersList() {
-			parallel.SetWorkers(w)
-			bitsEqual(t, "MatMulATB", want, MatMulATB(a, b))
-			bitsEqual(t, "MatMulATBInto", want, MatMulATBInto(New(m, n), a, b))
-		}
+		want := MatMulNaiveInto(New(m, n), Transpose(a), b)
+		bitsEqual(t, "aᵀ×b", want, refATB(a, b))
 	}
 }
 
-// TestMatMulABTMatchesReference checks the transpose-free a×bᵀ kernel,
-// plus the accumulating variant: Acc must equal dst + product with the
-// product's terms folded in ascending-k order on top of dst.
+// TestMatMulABTMatchesReference is the a×bᵀ counterpart.
 func TestMatMulABTMatchesReference(t *testing.T) {
-	prev := parallel.SetWorkers(1)
-	defer parallel.SetWorkers(prev)
 	for _, sh := range kernelShapes {
 		m, k, n := sh[0], sh[1], sh[2]
 		a, b := New(m, k), New(n, k) // b is stored transposed
 		fillPseudo(a, 31)
 		fillPseudo(b, 32)
-		want := refMatMul(a, b, false, true)
-		base := New(m, n)
-		fillPseudo(base, 33)
-		wantAcc := New(m, n)
-		for i := 0; i < m; i++ {
-			for j := 0; j < n; j++ {
-				s := base.data[i*n+j]
-				for kk := 0; kk < k; kk++ {
-					s = math.FMA(a.data[i*k+kk], b.data[j*k+kk], s)
-				}
-				wantAcc.data[i*n+j] = s
-			}
-		}
-		for _, w := range workersList() {
-			parallel.SetWorkers(w)
-			bitsEqual(t, "MatMulABT", want, MatMulABT(a, b))
-			bitsEqual(t, "MatMulABTInto", want, MatMulABTInto(New(m, n), a, b))
-			bitsEqual(t, "MatMulABTAcc", wantAcc, MatMulABTAcc(base.Clone(), a, b))
-		}
+		want := MatMulNaiveInto(New(m, n), a, Transpose(b))
+		bitsEqual(t, "a×bᵀ", want, refABT(a, b))
 	}
 }
 
-// TestMatMulNaNInfPropagation is the regression test for the old MatMul
-// zero-skip: skipping av == 0 dropped IEEE-754 propagation, because
-// 0×NaN and 0×Inf are NaN, not 0. Both the sequential (below-cutoff) and
-// the sharded/blocked (above-cutoff, multiple workers) paths must keep
-// the poison.
+// TestMatMulNaNInfPropagation pins IEEE-754 propagation through an
+// all-zero row: skipping av == 0 would drop the poison, because 0×NaN
+// and 0×Inf are NaN, not 0. The naive reference and every
+// implementation's GEBP tile, on full tiles and on the ragged edges,
+// must keep it.
 func TestMatMulNaNInfPropagation(t *testing.T) {
-	prev := parallel.SetWorkers(8)
-	defer parallel.SetWorkers(prev)
-
 	check := func(name string, m, k, n int) {
 		a, b := New(m, k), New(k, n)
 		fillPseudo(a, 41)
@@ -153,59 +84,31 @@ func TestMatMulNaNInfPropagation(t *testing.T) {
 		}
 		b.data[0] = math.NaN()
 		b.data[n-1] = math.Inf(1)
-		for _, w := range []int{1, 2, 8} {
-			parallel.SetWorkers(w)
-			got := MatMul(a, b)
-			if !math.IsNaN(got.data[0]) {
-				t.Errorf("%s workers=%d: 0×NaN gave %v, want NaN", name, w, got.data[0])
+		got := map[string]*Tensor{"naive": MatMulNaiveInto(New(m, n), a, b)}
+		for _, impl := range convImpls() {
+			got[impl.name] = gebpVia(impl, New(m, n), a, b)
+		}
+		for via, c := range got {
+			if !math.IsNaN(c.data[0]) {
+				t.Errorf("%s %s: 0×NaN gave %v, want NaN", name, via, c.data[0])
 			}
-			if !math.IsNaN(got.data[n-1]) {
-				t.Errorf("%s workers=%d: 0×Inf gave %v, want NaN", name, w, got.data[n-1])
+			if !math.IsNaN(c.data[n-1]) {
+				t.Errorf("%s %s: 0×Inf gave %v, want NaN", name, via, c.data[n-1])
 			}
 		}
 	}
-	check("sequential", 2, 3, 4) // below blockCutoff: naive inline path
-	check("blocked", 64, 64, 64) // packed, sharded path
+	check("ragged", 2, 3, 4) // below one register tile: scalar row tail
+	check("tiled", 64, 64, 64)
 }
 
-// TestTransposeIntoEdgeShapes checks the destination-passing transpose on
-// degenerate and sharded shapes.
-func TestTransposeIntoEdgeShapes(t *testing.T) {
-	prev := parallel.SetWorkers(8)
-	defer parallel.SetWorkers(prev)
-	for _, sh := range [][2]int{{1, 1}, {1, 9}, {9, 1}, {0, 4}, {4, 0}, {257, 193}} {
-		m, n := sh[0], sh[1]
-		a := New(m, n)
-		fillPseudo(a, 51)
-		got := TransposeInto(New(n, m), a)
-		for i := 0; i < m; i++ {
-			for j := 0; j < n; j++ {
-				if got.data[j*m+i] != a.data[i*n+j] {
-					t.Fatalf("Transpose(%d,%d): [%d %d] mismatch", m, n, j, i)
-				}
-			}
-		}
-	}
-}
-
-// TestKernelDstValidation checks the destination-shape panics.
+// TestKernelDstValidation checks the reference's destination-shape panic.
 func TestKernelDstValidation(t *testing.T) {
-	a, b := New(3, 4), New(4, 5)
-	for name, fn := range map[string]func(){
-		"MatMulInto":    func() { MatMulInto(New(3, 4), a, b) },
-		"MatMulATBInto": func() { MatMulATBInto(New(3, 5), a, b) }, // aᵀ×b is 4×5
-		"MatMulABTInto": func() { MatMulABTInto(New(4, 4), New(3, 5), b) },
-		"TransposeInto": func() { TransposeInto(New(3, 4), a) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: bad destination did not panic", name)
-				}
-			}()
-			fn()
-		}()
-	}
+	defer func() {
+		if recover() == nil {
+			t.Errorf("MatMulNaiveInto: bad destination did not panic")
+		}
+	}()
+	MatMulNaiveInto(New(3, 4), New(3, 4), New(4, 5))
 }
 
 // TestArenaReuse checks the size-class arithmetic and that a returned

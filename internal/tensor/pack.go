@@ -1,10 +1,10 @@
-// pack.go is the pack-once API behind the compiled inference plans
-// (DESIGN.md §5g). MatMulInto packs both operands from scratch on every
-// call, which is right for training (weights change every step) and
-// wasteful for serving (weights are immutable between hot reloads).
-// PackA and PackDense snapshot a weight matrix into the active kernel
-// implementation's packed layout exactly once; the per-call work that
-// remains is only what depends on the input.
+// pack.go is the pack-once dense forward behind the compiled inference
+// plans (DESIGN.md §5g). Training packs nothing ahead of time (weights
+// change every step); serving weights are immutable between hot
+// reloads, so PackDense snapshots a Dense layer's weights into the
+// active kernel implementation's lane-blocked layout exactly once and
+// the per-call work that remains is only what depends on the input.
+// PrepackConv (convgemm.go) does the same for convolution filters.
 //
 // Packed values are snapshots: they do not observe later mutations of
 // the source tensors. That is exactly the compiled-plan contract — a
@@ -12,77 +12,6 @@
 package tensor
 
 import "fmt"
-
-// PackedA is a matrix packed once for the left-hand side of GEBP
-// products (dst = A×b): full microM-row blocks in kk-major packed form,
-// plus a plain row-major copy that the ragged row tail reads directly.
-// The convolution plan packs its (OutC × InC·KH·KW) weights this way at
-// compile time.
-type PackedA struct {
-	a     []float64 // full row-major snapshot (m×k)
-	panel []float64 // full microM-row blocks, kk-major
-	m, k  int
-}
-
-// PackA snapshots a rank-2 tensor into GEBP-packed form.
-func PackA(a *Tensor) *PackedA {
-	if len(a.shape) != 2 {
-		panic("tensor: PackA requires a rank-2 tensor")
-	}
-	m, k := a.shape[0], a.shape[1]
-	p := &PackedA{a: append([]float64(nil), a.data...), m: m, k: k}
-	if blocks := m / microM; blocks > 0 && k > 0 {
-		p.panel = make([]float64, blocks*microM*k)
-		packRows(p.panel, p.a, k, blocks)
-	}
-	return p
-}
-
-// Rows returns the packed matrix's row count (the product's m).
-func (p *PackedA) Rows() int { return p.m }
-
-// Cols returns the packed matrix's column count (the product's k).
-func (p *PackedA) Cols() int { return p.k }
-
-// PackedBLen returns the scratch length a caller must provide to PackB /
-// MulInto for a k×n right-hand operand under the active kernel's panel
-// geometry.
-func PackedBLen(k, n int) int {
-	panels := (n + kern.nr - 1) / kern.nr
-	return panels * kern.nr * k
-}
-
-// PackB packs rank-2 b into packed (length ≥ PackedBLen(k, n)) in the
-// active kernel's nr-wide zero-padded panel layout, ready for MulInto.
-func PackB(packed []float64, b *Tensor) {
-	if len(b.shape) != 2 {
-		panic("tensor: PackB requires a rank-2 tensor")
-	}
-	k, n := b.shape[0], b.shape[1]
-	if need := PackedBLen(k, n); len(packed) < need {
-		panic(fmt.Sprintf("tensor: PackB scratch %d, need %d", len(packed), need))
-	}
-	packPanels(packed, b.data, k, n, kern.nr)
-}
-
-// MulInto computes dst = p×b from b's packed panels (filled by PackB for
-// a p.Cols()×n operand), overwriting the m×n dst. It runs sequentially —
-// no sharding, no scratch, no allocation: the compiled plan's building
-// block, where parallelism lives above the plan (one instance per
-// goroutine) rather than inside the kernel. Results are bit-identical to
-// MatMulNaiveInto by the dispatch contract.
-func (p *PackedA) MulInto(dst *Tensor, packedB []float64, n int) *Tensor {
-	checkDst(dst, p.m, n)
-	if p.m == 0 || n == 0 {
-		return dst
-	}
-	if p.k == 0 {
-		dst.Fill(0)
-		return dst
-	}
-	kern.gebpTile(dst.data, n, p.a, p.panel, packedB, p.m, p.k, n)
-	return dst
-}
 
 // PackedDense is a dense layer's weights and bias packed once for the
 // lane-blocked single-vector forward pass dst = W·x + bias. The packed

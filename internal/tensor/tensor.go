@@ -1,18 +1,20 @@
 // Package tensor implements the dense numerical arrays underpinning
 // Autonomizer's neural-network substrate. The paper delegates model
 // execution to TensorFlow; this package is the from-scratch substitute:
-// row-major float64 tensors with the matrix and convolution kernels the
-// nn package needs (matmul, transpose, im2col/col2im, elementwise maps).
+// row-major float64 tensors with the kernels the nn package needs: the
+// dispatched GEBP tile behind convolution (convgemm.go), the packed
+// dense GEMV (pack.go), Dot and elementwise maps.
 //
 // Design notes: tensors carry an explicit shape and a flat backing slice.
 // Operations either return fresh tensors or write into caller-supplied
 // destinations; nothing here is goroutine-safe by itself.
 //
-// The heavy kernels (MatMul here, Im2Col/Col2Im in conv.go) shard their
-// work over the internal/parallel pool above a size cutoff. Shards write
-// disjoint output regions with unchanged per-element operation order, so
-// every result is bit-identical to the sequential computation at any
-// worker count.
+// The training convolution (ConvKernel) shards its tiles over the
+// internal/parallel pool above a size cutoff. Shards write disjoint
+// output regions with unchanged per-element operation order, so every
+// result is bit-identical to the sequential computation at any worker
+// count. The materialized references every fast path is checked
+// against (naive matmul, im2col/col2im) live in the package tests.
 package tensor
 
 import (
@@ -166,29 +168,12 @@ func (t *Tensor) assertSameShape(o *Tensor) {
 	}
 }
 
-// matMulCutoff is the minimum m·k·n flop count at which the matrix
-// kernels shard their rows over the worker pool; below it the scheduling
-// overhead outweighs the win. Exported knobs are unnecessary: correctness
-// is identical on both sides of the cutoff.
+// matMulCutoff is the minimum multiply-accumulate count per chunk at
+// which the convolution kernels shard their tiles over the worker pool
+// (convGrain); below it the scheduling overhead outweighs the win.
+// Exported knobs are unnecessary: correctness is identical on both
+// sides of the cutoff.
 const matMulCutoff = 32 * 1024
-
-// MatMul computes the matrix product a×b for 2-D tensors, returning a new
-// (a.rows × b.cols) tensor. It panics on rank or inner-dimension
-// mismatch. This is the allocating convenience wrapper over MatMulInto
-// (kernel.go); hot paths pass their own destination instead.
-func MatMul(a, b *Tensor) *Tensor {
-	m, _, n := matMulDims(a, b)
-	return MatMulInto(New(m, n), a, b)
-}
-
-// Transpose returns the transpose of a rank-2 tensor, allocating the
-// destination; see TransposeInto for the destination-passing form.
-func Transpose(a *Tensor) *Tensor {
-	if len(a.shape) != 2 {
-		panic("tensor: Transpose requires a rank-2 tensor")
-	}
-	return TransposeInto(New(a.shape[1], a.shape[0]), a)
-}
 
 // Reuse returns a tensor with the given shape, recycling t's backing
 // array when its capacity suffices and allocating a fresh tensor

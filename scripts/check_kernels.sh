@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # check_kernels.sh — the kernel-speedup gate for the default build.
 #
-# ROADMAP: the blocked matmul must beat the naive reference on the
-# DEFAULT build (no GOAMD64 flags), because that is what `go build`
-# gives every user. The init-time CPU-feature dispatch (tensor/dispatch.go)
+# ROADMAP: the blocked matmul (both operands packed, one call to the
+# dispatched GEBP tile) must beat the naive reference on the DEFAULT
+# build (no GOAMD64 flags), because that is what `go build` gives every
+# user. The init-time CPU-feature dispatch (tensor/dispatch.go)
 # selects the AVX2+FMA assembly kernels at package init when the host
 # supports them, so the default build should see the same speedups as a
 # GOAMD64=v3 build. This gate fails if the blocked/naive ratio at
@@ -14,9 +15,9 @@
 # The floor is deliberately below the observed ~7x with the assembly
 # kernels but above the ~1.2x the generic path manages, so it trips on
 # "dispatch broke", not on benchmark noise. On hosts without AVX2 the
-# generic kernels cannot reach the floor; the gate detects the active
-# kernel via AUTONOMIZER_KERNEL-aware TestKernelSelected logging and
-# applies the generic floor instead. All floors are overridable:
+# generic kernels cannot reach the floor; the gate reads the active
+# kernel from TestKernelSelected's log and applies the generic floor
+# instead. All floors are overridable:
 #   MIN_SPEEDUP_192         (default 3.0, accelerated kernels)
 #   MIN_SPEEDUP_192_GENERIC (default 0.9, generic fallback)
 #   MIN_CONV_SPEEDUP        (default 2.0, accelerated kernels)
@@ -28,6 +29,9 @@
 # benchmark process — a ratio, so host-speed jitter cancels. The fusion
 # helps the generic kernels too (it removes the column matrix and its
 # re-pack), hence a floor above 1x even without AVX2.
+#
+# Both gates run package tensor's BenchmarkKernels; the naive, im2col
+# and col2im references they time live in that package's test files.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -37,9 +41,9 @@ MIN_SPEEDUP_192_GENERIC="${MIN_SPEEDUP_192_GENERIC:-0.9}"
 MIN_CONV_SPEEDUP="${MIN_CONV_SPEEDUP:-2.0}"
 MIN_CONV_SPEEDUP_GENERIC="${MIN_CONV_SPEEDUP_GENERIC:-1.1}"
 
-# -count=1 defeats the test cache: the dispatch reads AUTONOMIZER_KERNEL
-# at package init, before the test runner's env tracking starts, so a
-# cached log can report the wrong kernel.
+# -count=1 defeats the test cache: the selection depends on the host CPU,
+# which the cache key does not cover, so a cached log can report another
+# host's kernel.
 kernel=$(go test -count=1 ./internal/tensor/ -run TestKernelSelected -v 2>/dev/null \
     | awk -F'active kernel: ' '/active kernel:/ { split($2, a, " "); print a[1]; exit }')
 if [ -z "$kernel" ]; then
@@ -56,7 +60,7 @@ fi
 echo "kernel gate: active kernel '$kernel', matmul floor $floor, conv floor $conv_floor"
 
 out=$(go test -bench 'BenchmarkKernels/MatMul(Naive|Blocked)192$' \
-    -benchtime 5x -run '^$' ./internal/bench/)
+    -benchtime 5x -run '^$' ./internal/tensor/)
 printf '%s\n' "$out"
 
 naive=$(printf '%s\n' "$out" | awk '$1 ~ /MatMulNaive192(-|$)/ { print $3; exit }')
@@ -79,7 +83,7 @@ awk -v naive="$naive" -v blocked="$blocked" -v floor="$floor" -v kernel="$kernel
 
 # Conv gate: implicit-GEMM vs materialized im2col, forward and backward.
 conv_out=$(go test -bench 'BenchmarkKernels/Conv(Forward|Backward)(Im2Col|Implicit)$' \
-    -benchtime 50x -run '^$' ./internal/bench/)
+    -benchtime 50x -run '^$' ./internal/tensor/)
 printf '%s\n' "$conv_out"
 
 fwd_ref=$(printf '%s\n' "$conv_out" | awk '$1 ~ /ConvForwardIm2Col(-|$)/ { print $3; exit }')
