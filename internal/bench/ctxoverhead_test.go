@@ -43,7 +43,7 @@ func ctxOverheadRuntime(b *testing.B) (*core.Runtime, []float64) {
 // BenchmarkPredictCtxOverhead measures what the context-aware contract
 // costs on the inference hot path: Predict (the background-context
 // wrapper) against PredictCtx with a live cancelable context. Recorded
-// in BENCH_ctx.json.
+// in BENCH_obs.json as its telemetry baseline.
 func BenchmarkPredictCtxOverhead(b *testing.B) {
 	b.Run("Predict", func(b *testing.B) {
 		rt, in := ctxOverheadRuntime(b)
@@ -70,7 +70,7 @@ func BenchmarkPredictCtxOverhead(b *testing.B) {
 // BenchmarkFitCtxOverhead measures the per-minibatch cancellation check
 // on the training hot path: one epoch over the recorded examples via
 // the background-context wrapper against FitCtx with a live cancelable
-// context. Recorded in BENCH_ctx.json.
+// context. Recorded in BENCH_obs.json as its telemetry baseline.
 func BenchmarkFitCtxOverhead(b *testing.B) {
 	b.Run("Fit", func(b *testing.B) {
 		rt, _ := ctxOverheadRuntime(b)

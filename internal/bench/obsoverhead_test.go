@@ -13,7 +13,8 @@ import (
 //
 //   - disabled: the instrumented runtime with nil telemetry — every
 //     metric site is one nil-check branch. Must be within noise of the
-//     pre-telemetry baseline in BENCH_ctx.json.
+//     pre-telemetry baseline, BenchmarkPredictCtxOverhead/PredictCtx and
+//     BenchmarkFitCtxOverhead/FitCtx (BENCH_obs.json's "baseline").
 //   - enabled: a live private registry — counters, latency histogram
 //     timers, sliding-window quantile summaries and (for Fit) per-step
 //     timings all recording, which bounds the cost a -telemetry run

@@ -5,17 +5,17 @@ import (
 	"runtime"
 	"testing"
 
-	"github.com/autonomizer/autonomizer/internal/nn"
 	"github.com/autonomizer/autonomizer/internal/parallel"
 	"github.com/autonomizer/autonomizer/internal/stats"
 	"github.com/autonomizer/autonomizer/internal/tensor"
 )
 
-// speedupWorkload is the NN hot path the parallel engine shards: one
+// speedupWorkload is the one NN hot path the parallel engine shards: a
 // training-path convolution forward and backward on the bench geometry
 // (4×32×32 → 8, 3×3, stride 1, pad 1) through the production ConvKernel,
-// which shards its output panels and input channels over the pool, plus
-// one data-parallel training batch on a mid-sized DNN.
+// which shards its output panels and input channels over the pool.
+// Training itself runs its minibatch sequentially, so nothing else in
+// the network changes with the width.
 func speedupWorkload(b *testing.B) {
 	b.Helper()
 	rng := stats.NewRNG(5)
@@ -31,28 +31,10 @@ func speedupWorkload(b *testing.B) {
 	out := make([]float64, 8*32*32)
 	gradW := make([]float64, 8*4*3*3)
 	gradIn := make([]float64, 4*32*32)
-	net := nn.NewDNN(64, []int{128, 64}, 16, rng.Split())
-	net.UseAdam(1e-3)
-	batch := 32
-	ins := make([]*tensor.Tensor, batch)
-	outs := make([]*tensor.Tensor, batch)
-	for i := range ins {
-		x := make([]float64, 64)
-		y := make([]float64, 16)
-		for j := range x {
-			x[j] = rng.Range(-1, 1)
-		}
-		for j := range y {
-			y[j] = rng.Range(-1, 1)
-		}
-		ins[i] = tensor.FromSlice(x, 64)
-		outs[i] = tensor.FromSlice(y, 16)
-	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ck.Forward(out, in, w)
 		ck.Backward(gradW, gradIn, in, w, gout)
-		net.TrainBatch(ins, outs)
 	}
 }
 

@@ -269,7 +269,6 @@ func TestSpecValidationFieldMessages(t *testing.T) {
 		{"bad activation", ModelSpec{Name: "m", Algo: AdamOpt, OutputActivation: "relu"}},
 		{"negative LR", ModelSpec{Name: "m", Algo: AdamOpt, LR: -0.1}},
 		{"gamma out of range", ModelSpec{Name: "m", Algo: QLearn, Actions: 2, Gamma: 1.5}},
-		{"negative workers", ModelSpec{Name: "m", Algo: AdamOpt, Workers: -2}},
 		{"negative batch size", ModelSpec{Name: "m", Algo: AdamOpt, BatchSize: -8}},
 	}
 	for _, c := range cases {

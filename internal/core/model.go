@@ -148,7 +148,6 @@ func (m *model) materialize(inSize, outSize int) error {
 	}
 	m.inSize, m.outSize = inSize, outSize
 	m.net = m.build(inSize, outSize)
-	m.net.SetMaxWorkers(m.spec.Workers)
 
 	switch m.spec.Algo {
 	case QLearn:

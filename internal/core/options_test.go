@@ -81,7 +81,6 @@ func TestSpecValidationMessages(t *testing.T) {
 		{"BatchSize", ModelSpec{Name: "m", Algo: QLearn, Actions: 2, BatchSize: -1}},
 		{"TargetSyncEvery", ModelSpec{Name: "m", Algo: QLearn, Actions: 2, TargetSyncEvery: -1}},
 		{"LearnEvery", ModelSpec{Name: "m", Algo: QLearn, Actions: 2, LearnEvery: -1}},
-		{"Workers", ModelSpec{Name: "m", Algo: AdamOpt, Workers: -1}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.field, func(t *testing.T) {

@@ -136,11 +136,6 @@ type ModelSpec struct {
 	LearnEvery int
 	// DoubleDQN enables double Q-learning for QLearn models.
 	DoubleDQN bool
-	// Workers caps the data-parallel training width for this model's
-	// networks (0 = the process-wide parallel.Workers setting, itself
-	// GOMAXPROCS or AUTONOMIZER_WORKERS). Training results are
-	// bit-identical at any width; this is purely a resource knob.
-	Workers int
 	// Builder, when set, constructs the network instead of the built-in
 	// DNN/CNN families — the analog of the paper's callback "in which
 	// the users can create arbitrary neural networks from scratch with
@@ -229,9 +224,6 @@ func (s ModelSpec) validate() error {
 	}
 	if s.LearnEvery < 0 {
 		return bad("LearnEvery", "%d, cannot be negative", s.LearnEvery)
-	}
-	if s.Workers < 0 {
-		return bad("Workers", "%d, cannot be negative", s.Workers)
 	}
 	return nil
 }

@@ -6,8 +6,8 @@
 // are packed into the active kernel's layout exactly once, every buffer
 // is pre-sized from the compile-time shape walk, and the ops run
 // sequentially — parallelism lives above the plan (one instance per
-// goroutine or replica), not inside it — so a steady-state PredictInto
-// performs zero allocations and no scratch-arena traffic.
+// goroutine), not inside it — so a steady-state PredictInto performs
+// zero allocations and no scratch-arena traffic.
 //
 // A Plan snapshots the weights: training a network after compiling it
 // does not change the plan. Publishing new weights means compiling a new

@@ -27,8 +27,7 @@ type Conv2D struct {
 	lastOutH, lastOutW int
 
 	// kern is the implicit-GEMM execution state, built lazily on the
-	// first Forward (Replicate leaves it nil) and rebuilt when the input
-	// extent changes.
+	// first Forward and rebuilt when the input extent changes.
 	kern *tensor.ConvKernel
 
 	// lastIn is the input tensor passed to Forward; Backward re-gathers
@@ -112,12 +111,10 @@ func (c *Conv2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	n := c.lastOutH * c.lastOutW
 	g := gradOut.Data()
 	// dL/dW += g × im2col(in)ᵀ, gathered implicitly. The per-example
-	// product must be formed from zero and then added (not chained
-	// through the accumulator): the data-parallel reduction in
-	// Network.TrainBatch adds per-example products exactly this way, and
-	// the two paths must associate identically to stay bit-equal at any
-	// worker count. dL/dinput = col2im(Wᵀ × g), scattered directly from
-	// the kernel's per-channel stripes.
+	// product is formed from zero and then added (not chained through
+	// the accumulator): that is the fold rl's golden digests pin, so
+	// chaining would change trained weights. dL/dinput = col2im(Wᵀ × g),
+	// scattered directly from the kernel's per-channel stripes.
 	pw := tensor.Scratch.Get(c.gradW.Size())
 	c.gradWProd = tensor.ViewOf(c.gradWProd, *pw, c.OutC, c.InC*c.KH*c.KW)
 	c.gradIn = tensor.Reuse(c.gradIn, c.InC, c.inH, c.inW)

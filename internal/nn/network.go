@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"github.com/autonomizer/autonomizer/internal/auerr"
-	"github.com/autonomizer/autonomizer/internal/parallel"
 	"github.com/autonomizer/autonomizer/internal/stats"
 	"github.com/autonomizer/autonomizer/internal/tensor"
 )
@@ -18,31 +17,14 @@ type Network struct {
 	loss   Loss
 	opt    Optimizer
 
-	// maxWorkers caps this network's data-parallel training width
-	// (0 = use the global parallel.Workers setting unchanged).
-	maxWorkers int
-
-	// Data-parallel scratch state, reused across TrainBatch calls: one
-	// replica per worker plus per-example gradient/loss buffers that make
-	// the reduction order independent of scheduling (see
-	// trainBatchParallel).
-	replicas  []*Network
-	itemGrads [][]*tensor.Tensor
-	itemLoss  []float64
-
 	// Cached views and scratch (DESIGN.md §5e): the parameter/gradient
 	// lists are fixed at construction and built once; gradScratch holds the
 	// loss gradient for GradIntoLoss losses; inScratch holds the copied-in
-	// Predict input; workerFns are the TrainBatch worker closures, rebuilt
-	// only when the width changes, reading the batch through parIns /
-	// parTargets so no per-call closures are allocated.
+	// Predict input.
 	params, grads []*tensor.Tensor
 	paramsBuilt   bool
 	gradScratch   *tensor.Tensor
 	inScratch     *tensor.Tensor
-	workerFns     []func()
-	parIns        []*tensor.Tensor
-	parTargets    []*tensor.Tensor
 }
 
 // NewNetwork assembles a network from layers. Attach a loss/optimizer
@@ -52,22 +34,7 @@ func NewNetwork(layers ...Layer) *Network {
 }
 
 // SetLoss selects the training loss (default MSE).
-func (n *Network) SetLoss(l Loss) {
-	n.loss = l
-	n.replicas = nil  // replicas capture the loss; rebuild lazily
-	n.workerFns = nil // worker closures capture the replicas
-}
-
-// SetMaxWorkers caps the data-parallel width used by TrainBatch for this
-// network; 0 restores the default (the global parallel.Workers setting).
-// Results are bit-identical at any width, so this is purely a resource
-// knob.
-func (n *Network) SetMaxWorkers(w int) {
-	if w < 0 {
-		w = 0
-	}
-	n.maxWorkers = w
-}
+func (n *Network) SetLoss(l Loss) { n.loss = l }
 
 // SetOptimizer binds an optimizer; convenience constructors below build
 // one over the network's own parameters.
@@ -215,10 +182,12 @@ func (n *Network) TrainBatchCtx(ctx context.Context, ins, targets []*tensor.Tens
 // TrainBatch accumulates gradients over a mini-batch before one optimizer
 // step, returning the mean loss. Inputs and targets must align.
 //
-// When the parallel width exceeds 1 and every layer is Replicable, the
-// examples are distributed over worker replicas; gradients and losses are
-// reduced in example order, so the updated weights are bit-identical to
-// the sequential path at any worker count.
+// The examples run one after another in example order: forward, loss and
+// backward accumulate into the network's gradients, which are then
+// averaged, clipped and stepped once. Parallelism lives inside the
+// kernels (tensor.ConvKernel shards each conv op with fixed chunk
+// geometry), so the updated weights are bit-identical at any worker
+// width.
 func (n *Network) TrainBatch(ins, targets []*tensor.Tensor) float64 {
 	if len(ins) != len(targets) {
 		auerr.Failf("nn: TrainBatch input/target count mismatch")
@@ -229,25 +198,12 @@ func (n *Network) TrainBatch(ins, targets []*tensor.Tensor) float64 {
 	if n.opt == nil {
 		auerr.Failf("nn: TrainBatch without an optimizer; call UseAdam/UseSGD first")
 	}
+	n.ZeroGrads()
 	total := 0.0
-	if w := n.batchWorkers(len(ins)); w > 1 && n.forwardBackwardParallel(ins, targets, w) {
-		// Ordered reduction: ((g₀+g₁)+g₂)+… matches the sequential
-		// accumulation exactly, element by element.
-		n.ZeroGrads()
-		grads := n.Grads()
-		for i := range ins {
-			total += n.itemLoss[i]
-			for j, g := range grads {
-				g.AddInPlace(n.itemGrads[i][j])
-			}
-		}
-	} else {
-		n.ZeroGrads()
-		for i, in := range ins {
-			pred := n.Forward(in)
-			total += n.loss.Loss(pred, targets[i])
-			n.Backward(n.lossGrad(pred, targets[i]))
-		}
+	for i, in := range ins {
+		pred := n.Forward(in)
+		total += n.loss.Loss(pred, targets[i])
+		n.Backward(n.lossGrad(pred, targets[i]))
 	}
 	// Average the accumulated gradients over the batch.
 	inv := 1 / float64(len(ins))
@@ -257,84 +213,6 @@ func (n *Network) TrainBatch(ins, targets []*tensor.Tensor) float64 {
 	ClipGradients(n.Grads(), 10)
 	n.opt.Step(n.Grads())
 	return total / float64(len(ins))
-}
-
-// batchWorkers resolves the data-parallel width for a batch of b
-// examples: the global setting, capped by SetMaxWorkers and by b.
-func (n *Network) batchWorkers(b int) int {
-	w := parallel.Workers()
-	if n.maxWorkers > 0 && w > n.maxWorkers {
-		w = n.maxWorkers
-	}
-	if w > b {
-		w = b
-	}
-	return w
-}
-
-// forwardBackwardParallel runs forward/loss/backward for every example on
-// w worker replicas, leaving per-example losses in n.itemLoss and
-// per-example gradients in n.itemGrads. It returns false (leaving no
-// state behind) when the network cannot be replicated, in which case the
-// caller falls back to the sequential path.
-//
-// Examples are assigned to replicas round-robin, but since each example's
-// gradient lands in its own slot the assignment never influences the
-// result — only the ordered reduction in TrainBatch does.
-func (n *Network) forwardBackwardParallel(ins, targets []*tensor.Tensor, w int) bool {
-	if !n.ensureReplicas(w) {
-		return false
-	}
-	if cap(n.itemLoss) < len(ins) {
-		n.itemLoss = make([]float64, len(ins))
-	}
-	n.itemLoss = n.itemLoss[:len(ins)]
-	for len(n.itemGrads) < len(ins) {
-		var gs []*tensor.Tensor
-		for _, g := range n.Grads() {
-			gs = append(gs, tensor.New(g.Shape()...))
-		}
-		n.itemGrads = append(n.itemGrads, gs)
-	}
-	// The worker closures are cached per width and read the batch through
-	// n.parIns / n.parTargets, so a steady-state TrainBatch rebuilds
-	// nothing here.
-	n.parIns, n.parTargets = ins, targets
-	if len(n.workerFns) != w {
-		n.workerFns = make([]func(), w)
-		for wk := 0; wk < w; wk++ {
-			wk := wk
-			width := w
-			rep := n.replicas[wk]
-			n.workerFns[wk] = func() {
-				for i := wk; i < len(n.parIns); i += width {
-					rep.ZeroGrads()
-					pred := rep.Forward(n.parIns[i])
-					n.itemLoss[i] = rep.loss.Loss(pred, n.parTargets[i])
-					rep.Backward(rep.lossGrad(pred, n.parTargets[i]))
-					for j, g := range rep.Grads() {
-						copy(n.itemGrads[i][j].Data(), g.Data())
-					}
-				}
-			}
-		}
-	}
-	parallel.Run(n.workerFns...)
-	n.parIns, n.parTargets = nil, nil // do not retain the caller's batch
-	return true
-}
-
-// ensureReplicas grows the cached replica set to at least w replicas,
-// reporting whether replication is possible.
-func (n *Network) ensureReplicas(w int) bool {
-	for len(n.replicas) < w {
-		rep, ok := n.replica()
-		if !ok {
-			return false
-		}
-		n.replicas = append(n.replicas, rep)
-	}
-	return true
 }
 
 // String summarizes the architecture, e.g.

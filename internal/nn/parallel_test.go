@@ -54,7 +54,9 @@ func makeDataset(n, outSize int, shape ...int) (ins, targets []*tensor.Tensor) {
 
 // TestParallelTrainingDeterminism is the parallel layer's core guarantee:
 // training with workers ∈ {1, 2, 8} produces weights and predictions
-// bit-identical to the sequential path, on both a DNN and a CNN.
+// bit-identical to width 1, on a DNN, a CNN (whose conv kernels shard by
+// width) and a Builder net with Dropout (whose mask draws must stay in
+// example order).
 func TestParallelTrainingDeterminism(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -64,11 +66,20 @@ func TestParallelTrainingDeterminism(t *testing.T) {
 	}{
 		{name: "DNN"},
 		{name: "CNN"},
+		{name: "Dropout"},
 	}
 	cases[0].build = func(rng *stats.RNG) *Network { return NewDNN(6, []int{16, 8}, 3, rng) }
 	cases[0].ins, cases[0].tgt = makeDataset(12, 3, 6)
 	cases[1].build = func(rng *stats.RNG) *Network { return NewDeepMindCNN(1, 16, 16, 3, rng) }
 	cases[1].ins, cases[1].tgt = makeDataset(6, 3, 1, 16, 16)
+	cases[2].build = func(rng *stats.RNG) *Network {
+		return NewNetwork(
+			NewDense(4, 8, rng.Split()), NewReLU(),
+			NewDropout(0.2, rng.Split()),
+			NewDense(8, 2, rng.Split()),
+		)
+	}
+	cases[2].ins, cases[2].tgt = makeDataset(8, 2, 4)
 
 	for _, tc := range cases {
 		tc := tc
@@ -89,77 +100,5 @@ func TestParallelTrainingDeterminism(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestReplicaSharesParams checks the replica contract: parameters are the
-// same tensors, gradients are not.
-func TestReplicaSharesParams(t *testing.T) {
-	net := NewDNN(4, []int{8}, 2, stats.NewRNG(1))
-	rep, ok := net.replica()
-	if !ok {
-		t.Fatal("DNN should be replicable")
-	}
-	np, rp := net.Params(), rep.Params()
-	if len(np) != len(rp) {
-		t.Fatalf("param count %d vs %d", len(np), len(rp))
-	}
-	for i := range np {
-		if np[i] != rp[i] {
-			t.Errorf("param %d not shared", i)
-		}
-	}
-	ng, rg := net.Grads(), rep.Grads()
-	for i := range ng {
-		if ng[i] == rg[i] {
-			t.Errorf("grad %d shared; must be private", i)
-		}
-	}
-}
-
-// TestDropoutFallsBackSequential checks a non-replicable layer degrades
-// to the sequential path instead of failing.
-func TestDropoutFallsBackSequential(t *testing.T) {
-	prev := parallel.SetWorkers(4)
-	defer parallel.SetWorkers(prev)
-	rng := stats.NewRNG(3)
-	net := NewNetwork(
-		NewDense(4, 8, rng.Split()), NewReLU(),
-		NewDropout(0.2, rng.Split()),
-		NewDense(8, 2, rng.Split()),
-	)
-	if _, ok := net.replica(); ok {
-		t.Fatal("dropout network must not be replicable")
-	}
-	net.UseAdam(1e-3)
-	ins, targets := makeDataset(8, 2, 4)
-	if loss := net.TrainBatch(ins, targets); loss <= 0 {
-		t.Errorf("fallback training loss = %v", loss)
-	}
-}
-
-// TestSetMaxWorkersCap checks the per-network cap keeps results identical
-// while bounding the replica set.
-func TestSetMaxWorkersCap(t *testing.T) {
-	prev := parallel.SetWorkers(8)
-	defer parallel.SetWorkers(prev)
-	ins, targets := makeDataset(12, 3, 6)
-	build := func(rng *stats.RNG) *Network { return NewDNN(6, []int{16, 8}, 3, rng) }
-
-	capped := build(stats.NewRNG(42))
-	capped.SetMaxWorkers(2)
-	capped.UseAdam(1e-3)
-	capped.TrainBatch(ins, targets)
-	if len(capped.replicas) > 2 {
-		t.Errorf("cap 2 built %d replicas", len(capped.replicas))
-	}
-
-	free := build(stats.NewRNG(42))
-	free.UseAdam(1e-3)
-	free.TrainBatch(ins, targets)
-	a, _ := capped.MarshalParams()
-	b, _ := free.MarshalParams()
-	if !bytes.Equal(a, b) {
-		t.Error("capped and uncapped training disagree")
 	}
 }

@@ -146,7 +146,7 @@ func metrics() *poolMetrics {
 	}
 	m := &poolMetrics{
 		chunks: reg.Counter("autonomizer_parallel_chunks_total",
-			"Chunks dispatched by parallel For/Run calls.", nil),
+			"Chunks dispatched by parallel For calls.", nil),
 		running: reg.Gauge("autonomizer_parallel_tasks_running",
 			"Pool tasks currently executing (including inline-run chunks).", nil),
 		wait: reg.Histogram("autonomizer_parallel_chunk_wait_seconds",
@@ -303,15 +303,4 @@ func For(n, grain int, fn func(lo, hi int)) {
 	if set {
 		panic(r)
 	}
-}
-
-// Run executes the given functions, possibly concurrently, returning when
-// all have finished. It is For over the function list; ordering of side
-// effects between functions is unspecified, so they must be independent.
-func Run(fns ...func()) {
-	For(len(fns), 1, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			fns[i]()
-		}
-	})
 }

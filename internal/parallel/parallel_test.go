@@ -109,13 +109,3 @@ func TestSetWorkersClamp(t *testing.T) {
 		t.Errorf("restore failed: %d vs %d", Workers(), prev)
 	}
 }
-
-// TestRun checks the convenience wrapper executes every function.
-func TestRun(t *testing.T) {
-	defer SetWorkers(SetWorkers(4))
-	var a, b, c atomic.Int64
-	Run(func() { a.Store(1) }, func() { b.Store(2) }, func() { c.Store(3) })
-	if a.Load() != 1 || b.Load() != 2 || c.Load() != 3 {
-		t.Error("Run skipped a function")
-	}
-}

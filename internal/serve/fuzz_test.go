@@ -1,0 +1,132 @@
+package serve
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"runtime"
+	"testing"
+
+	"github.com/autonomizer/autonomizer/internal/auerr"
+	"github.com/autonomizer/autonomizer/internal/core"
+)
+
+// allocDuring reports the bytes the heap handed out while f ran.
+func allocDuring(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestDecodersBoundAllocationByInput checks that a length prefix is only
+// a claim: a header promising a huge payload that never arrives must
+// fail without allocating for the promise.
+func TestDecodersBoundAllocationByInput(t *testing.T) {
+	const budget = 1 << 20
+
+	// 13 bytes: magic, a one-byte model name, then a vector claiming the
+	// 2^24-float cap and no data behind it.
+	frame := []byte(binaryMagic)
+	frame = binary.LittleEndian.AppendUint32(frame, 1)
+	frame = append(frame, 'm')
+	frame = binary.LittleEndian.AppendUint32(frame, maxVecLen)
+	var err error
+	if got := allocDuring(func() { _, _, err = DecodePredictFrame(bytes.NewReader(frame)) }); got >= budget {
+		t.Errorf("13-byte predict frame allocated %d bytes, want < %d", got, budget)
+	}
+	if err == nil {
+		t.Error("truncated predict frame decoded without error")
+	}
+
+	// Snapshots claiming the 2^16-model cap, and one model whose weights
+	// blob claims 1 GiB.
+	header := func(count uint32) []byte {
+		b := binary.LittleEndian.AppendUint32([]byte(snapMagic), snapVersion)
+		return binary.LittleEndian.AppendUint32(b, count)
+	}
+	weights := header(1)
+	for _, blob := range []string{"m", "{}"} {
+		weights = binary.LittleEndian.AppendUint32(weights, uint32(len(blob)))
+		weights = append(weights, blob...)
+	}
+	weights = binary.LittleEndian.AppendUint32(weights, 1<<30)
+	for name, snap := range map[string][]byte{"model count": header(1 << 16), "weights length": weights} {
+		if got := allocDuring(func() { _, err = ReadSnapshot(bytes.NewReader(snap)) }); got >= budget {
+			t.Errorf("%s: %d-byte snapshot allocated %d bytes, want < %d", name, len(snap), got, budget)
+		}
+		if !errors.Is(err, auerr.ErrCorruptStore) {
+			t.Errorf("%s: truncated snapshot: %v, want ErrCorruptStore", name, err)
+		}
+	}
+}
+
+// TestSnapshotReadsRetiredWorkersField checks that a snapshot written
+// while the spec still carried a training-width "workers" field reads
+// cleanly: unknown spec keys are ignored.
+func TestSnapshotReadsRetiredWorkersField(t *testing.T) {
+	img := []byte(snapMagic)
+	img = binary.LittleEndian.AppendUint32(img, snapVersion)
+	img = binary.LittleEndian.AppendUint32(img, 1)
+	for _, blob := range []string{"m", `{"algo":1,"hidden":[4],"workers":2}`, "\x01\x02"} {
+		img = binary.LittleEndian.AppendUint32(img, uint32(len(blob)))
+		img = append(img, blob...)
+	}
+	models, err := ReadSnapshot(bytes.NewReader(img))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(models) != 1 || models[0].Spec.Algo != core.AdamOpt || len(models[0].Spec.Hidden) != 1 {
+		t.Fatalf("read %+v", models)
+	}
+}
+
+// FuzzDecodePredictFrame feeds arbitrary bytes to the binary Predict
+// decoder, starting from the corpus in testdata/fuzz. It must never
+// panic, and a frame it accepts must re-encode, bit for bit, to the
+// prefix of the input it consumed.
+func FuzzDecodePredictFrame(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		model, in, err := DecodePredictFrame(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if frame := encodePredictFrame(model, in); !bytes.HasPrefix(data, frame) {
+			t.Fatalf("re-encoded frame % x is not a prefix of the input % x", frame, data)
+		}
+	})
+}
+
+// FuzzReadSnapshot feeds arbitrary bytes to the snapshot reader,
+// starting from the corpus in testdata/fuzz. It must never panic, every
+// failure must classify as auerr.ErrCorruptStore, and an accepted image
+// must survive encode∘decode: the canonical encoding of what was read
+// decodes and re-encodes to itself byte for byte.
+func FuzzReadSnapshot(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		models, err := ReadSnapshot(bytes.NewReader(data))
+		if err != nil {
+			if !errors.Is(err, auerr.ErrCorruptStore) {
+				t.Fatalf("ReadSnapshot error %v does not wrap ErrCorruptStore", err)
+			}
+			return
+		}
+		var canon bytes.Buffer
+		if err := WriteSnapshot(&canon, models); err != nil {
+			t.Fatalf("WriteSnapshot of a read snapshot: %v", err)
+		}
+		again, err := ReadSnapshot(bytes.NewReader(canon.Bytes()))
+		if err != nil {
+			t.Fatalf("canonical image does not read back: %v", err)
+		}
+		var canon2 bytes.Buffer
+		if err := WriteSnapshot(&canon2, again); err != nil {
+			t.Fatalf("WriteSnapshot of the re-read snapshot: %v", err)
+		}
+		if !bytes.Equal(canon.Bytes(), canon2.Bytes()) {
+			t.Fatalf("encode∘decode changed a canonical image:\n% x\n% x", canon.Bytes(), canon2.Bytes())
+		}
+	})
+}

@@ -121,6 +121,36 @@ const (
 	maxJSONBody = 256 << 20
 )
 
+// readChunk is the most a decoder allocates ahead of the bytes that
+// actually arrived: a length prefix is only a claim until the data
+// backs it.
+const readChunk = 64 << 10
+
+// readN reads exactly n bytes from r. The buffer starts at readChunk at
+// most and doubles only once the bytes read so far fill it, so it never
+// exceeds readChunk or twice the bytes that actually arrived. Errors are io.ReadFull's: io.EOF when nothing arrived,
+// io.ErrUnexpectedEOF when the data stops short.
+func readN(r io.Reader, n int) ([]byte, error) {
+	b := make([]byte, min(n, readChunk))
+	got := 0
+	for {
+		m, err := io.ReadFull(r, b[got:])
+		got += m
+		if err != nil {
+			if err == io.EOF && got > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+		if got == n {
+			return b, nil
+		}
+		grown := make([]byte, min(2*len(b), n))
+		copy(grown, b)
+		b = grown
+	}
+}
+
 // encodePredictFrame renders the binary request framing.
 func encodePredictFrame(model string, in []float64) []byte {
 	buf := make([]byte, 0, len(binaryMagic)+4+len(model)+4+8*len(in))
@@ -183,8 +213,8 @@ func readVector(r io.Reader) ([]float64, error) {
 	if n > maxVecLen {
 		return nil, fmt.Errorf("serve: implausible vector length %d", n)
 	}
-	raw := make([]byte, 8*int(n))
-	if _, err := io.ReadFull(r, raw); err != nil {
+	raw, err := readN(r, 8*int(n))
+	if err != nil {
 		return nil, fmt.Errorf("serve: read vector: %w", err)
 	}
 	out := make([]float64, n)

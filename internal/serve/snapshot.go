@@ -48,14 +48,12 @@ type wireSpec struct {
 	Actions          int            `json:"actions,omitempty"`
 	InputShape       []int          `json:"input_shape,omitempty"`
 	OutputActivation string         `json:"output_activation,omitempty"`
-	Workers          int            `json:"workers,omitempty"`
 }
 
 func toWireSpec(s core.ModelSpec) wireSpec {
 	return wireSpec{
 		Type: s.Type, Algo: s.Algo, Hidden: s.Hidden, Actions: s.Actions,
 		InputShape: s.InputShape, OutputActivation: s.OutputActivation,
-		Workers: s.Workers,
 	}
 }
 
@@ -63,7 +61,7 @@ func (w wireSpec) modelSpec(name string) core.ModelSpec {
 	return core.ModelSpec{
 		Name: name, Type: w.Type, Algo: w.Algo, Hidden: w.Hidden,
 		Actions: w.Actions, InputShape: w.InputShape,
-		OutputActivation: w.OutputActivation, Workers: w.Workers,
+		OutputActivation: w.OutputActivation,
 	}
 }
 
@@ -146,13 +144,15 @@ func readSnapshot(r io.Reader) ([]SnapshotModel, error) {
 		if n > max {
 			return nil, fmt.Errorf("serve: implausible %s length %d", what, n)
 		}
-		b := make([]byte, n)
-		if _, err := io.ReadFull(br, b); err != nil {
+		b, err := readN(br, int(n))
+		if err != nil {
 			return nil, fmt.Errorf("serve: read %s: %w", what, err)
 		}
 		return b, nil
 	}
-	models := make([]SnapshotModel, 0, count)
+	// The count is a claim like every length prefix: grow as models
+	// arrive rather than preallocating for it.
+	var models []SnapshotModel
 	for i := uint32(0); i < count; i++ {
 		name, err := readBlob("name", maxNameLen)
 		if err != nil {

@@ -664,8 +664,8 @@ func (ck *ConvKernel) Forward(out, in, w []float64) {
 
 // Backward computes the weight-gradient product gradWProd = g_out ×
 // im2col(in)ᵀ (overwritten, formed from zero — the caller adds it into
-// the accumulated gradient, preserving the data-parallel reduction's
-// association) and the input gradient gradIn (overwritten), without
+// the accumulated gradient, one example at a time) and the input
+// gradient gradIn (overwritten), without
 // materializing the column matrix or its gradient. gout is the
 // (OutC × N) output gradient; in must be the same buffer passed to the
 // matching Forward. Bit-identical to the materialized a×bᵀ and

@@ -14,10 +14,10 @@
 #   CNNForwardTrain 0  (uncompiled training forward — the implicit-GEMM
 #                       ConvKernel dispatches persistent shard closures
 #                       and draws every transient from the scratch arena)
-#   TrainBatch      8  (0 on one core; on multicore the data-parallel
-#                       batch path pays a few WaitGroup/closure headers
-#                       per parallel.Run call — fixed-size dispatch
-#                       cost, never data-sized traffic)
+#   TrainBatch      0  (one sequential pass per example into the
+#                       network's own gradient accumulators; the only
+#                       parallelism left is inside ConvKernel, whose
+#                       persistent shard closures allocate nothing)
 #   DQNObserve      TrainBatch's budget (one replayed Q-learning update:
 #                       bootstraps on the compiled target plan, then one
 #                       TrainBatch; the target sync recompiles the plan
@@ -33,7 +33,7 @@ MAX_ALLOCS_NETWORKFORWARD="${MAX_ALLOCS_NETWORKFORWARD:-0}"
 MAX_ALLOCS_SERVEDPREDICT="${MAX_ALLOCS_SERVEDPREDICT:-0}"
 MAX_ALLOCS_CNNFORWARD="${MAX_ALLOCS_CNNFORWARD:-0}"
 MAX_ALLOCS_CNNFORWARDTRAIN="${MAX_ALLOCS_CNNFORWARDTRAIN:-0}"
-MAX_ALLOCS_TRAINBATCH="${MAX_ALLOCS_TRAINBATCH:-8}"
+MAX_ALLOCS_TRAINBATCH="${MAX_ALLOCS_TRAINBATCH:-0}"
 
 out=$(go test -bench 'BenchmarkKernels/(NetworkForward|ServedPredict|CNNForward|CNNForwardTrain|TrainBatch|DQNObserve)$' \
     -benchmem -benchtime 100x -run '^$' ./internal/bench/)
