@@ -1,7 +1,10 @@
 // Command auserve is the Autonomizer model server: it loads trained
 // model snapshots and serves the query-side primitives over HTTP,
-// coalescing concurrent Predict traffic into minibatches on the
-// parallel engine (see internal/serve and DESIGN.md §5d).
+// coalescing concurrent Predict traffic into minibatches. Each served
+// model is its compiled plan, with one plan instance per shard of a
+// batch; the shard count is the parallel width at install
+// (AUTONOMIZER_WORKERS, default GOMAXPROCS). See internal/serve and
+// DESIGN.md §5d.
 //
 // Usage:
 //
@@ -22,7 +25,6 @@
 //	-max-batch N        batch size cap (default 32)
 //	-max-delay D        batching window (default 2ms)
 //	-queue N            per-model queue depth; overflow sheds 429 (default 256)
-//	-replicas N         predictor replicas per model (default: engine width)
 //	-drift-threshold T  rolling MSE above which a model turns not-ready (default: monitor-only)
 //	-drift-window D     rolling window drift loss is averaged over (default 1m)
 //	-log-format F       text (default) or json
@@ -54,7 +56,6 @@ func main() {
 	maxBatch := flag.Int("max-batch", 0, "max requests coalesced into one batch (default 32)")
 	maxDelay := flag.Duration("max-delay", 0, "batching window the first request of a batch waits (default 2ms)")
 	queue := flag.Int("queue", 0, "per-model queue depth before load shedding (default 256)")
-	replicas := flag.Int("replicas", 0, "predictor replicas per model (default: parallel engine width)")
 	driftThreshold := flag.Float64("drift-threshold", 0, "rolling drift MSE above which a model flips /healthz?deep=1 not-ready (0: monitor-only, or AUTONOMIZER_DRIFT_THRESHOLD)")
 	driftWindow := flag.Duration("drift-window", 0, "rolling window drift loss is averaged over (default 1m)")
 	logFormat := flag.String("log-format", "text", "diagnostic log format: text|json")
@@ -85,7 +86,6 @@ func main() {
 		MaxBatch:   *maxBatch,
 		MaxDelay:   *maxDelay,
 		QueueDepth: *queue,
-		Replicas:   *replicas,
 		Source:     snapshotSource(*snapshot),
 		Registry:   reg,
 		Logger:     log,

@@ -29,14 +29,14 @@ func fitSmallModel(t *testing.T, rt *Runtime, name string) {
 // after install a compiled plan that later predictors reuse.
 func TestCompileEagerAtInstall(t *testing.T) {
 	rt := NewRuntime(Train, 1)
-	if _, err := rt.PredictorInto("nope"); err == nil {
-		t.Error("PredictorInto on unknown model succeeded")
+	if _, err := rt.Predictor("nope"); err == nil {
+		t.Error("Predictor on unknown model succeeded")
 	}
 	if err := rt.Config(ModelSpec{Name: "m", Algo: AdamOpt, Hidden: []int{4}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rt.PredictorInto("m"); err == nil {
-		t.Error("PredictorInto before materialize succeeded")
+	if _, err := rt.Predictor("m"); err == nil {
+		t.Error("Predictor before materialize succeeded")
 	}
 	fitSmallModel(t, rt, "m2")
 	data, err := rt.SaveModel("m2")
@@ -53,11 +53,11 @@ func TestCompileEagerAtInstall(t *testing.T) {
 	if installed == nil {
 		t.Fatal("Test-mode Config did not compile the plan")
 	}
-	if _, err := ts.PredictorInto("m2"); err != nil {
+	if _, err := ts.Predictor("m2"); err != nil {
 		t.Fatal(err)
 	}
 	if m.plan != installed {
-		t.Error("PredictorInto recompiled the plan Config installed")
+		t.Error("Predictor recompiled the plan Config installed")
 	}
 }
 
@@ -124,12 +124,12 @@ func TestPredictorSeesPublishedWeights(t *testing.T) {
 		t.Fatal("training left the prediction unchanged; test cannot distinguish staleness")
 	}
 
-	// PredictorInto must track publications the same way.
-	predInto, err := rt.PredictorInto("m")
+	// A predictor taken after a publication must track the next one the
+	// same way.
+	pred2, err := rt.Predictor("m")
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := make([]float64, len(want))
 	if _, err := rt.Fit("m", 1, 8); err != nil {
 		t.Fatal(err)
 	}
@@ -137,10 +137,10 @@ func TestPredictorSeesPublishedWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got2 := predInto(in, out)
+	got2 := pred2(in)
 	for j := range want2 {
 		if math.Float64bits(got2[j]) != math.Float64bits(want2[j]) {
-			t.Fatalf("stale PredictorInto after publish: %v, want %v", got2, want2)
+			t.Fatalf("stale Predictor after publish: %v, want %v", got2, want2)
 		}
 	}
 }

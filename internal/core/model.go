@@ -39,15 +39,11 @@ type model struct {
 	prevAction int
 	havePrev   bool
 
-	// pendingParams holds serialized weights loaded before the network
-	// is materialized (TS mode loads by name before sizes are known).
-	pendingParams []byte
-
 	// predMu serializes the model's two shared inference paths: the
 	// training network's forward in Train-mode au_NN (its layers cache
 	// forward-pass state) and the shared plan runner that PredictCtx and
 	// Test-mode au_NN use. Parallel rollouts avoid this lock entirely by
-	// taking private plan runners via predictorInto().
+	// taking private plan runners via predictor().
 	predMu sync.Mutex
 	shared planRunner
 	// qvals is Test-mode au_NN's Q-value buffer, reused every frame.
@@ -175,11 +171,15 @@ func (m *model) materialize(inSize, outSize int) error {
 		}
 		m.net.UseAdam(lr)
 	}
-	if m.pendingParams != nil {
-		if err := m.net.UnmarshalParams(m.pendingParams); err != nil {
-			return fmt.Errorf("core: loading saved weights for %q: %w", m.spec.Name, err)
-		}
-		m.pendingParams = nil
+	m.bumpWeights()
+	return nil
+}
+
+// loadParams installs a SaveModel image's parameter blob into the
+// materialized network and publishes it.
+func (m *model) loadParams(params []byte) error {
+	if err := m.net.UnmarshalParams(params); err != nil {
+		return fmt.Errorf("core: loading saved weights for %q: %w", m.spec.Name, err)
 	}
 	m.bumpWeights()
 	return nil
@@ -215,26 +215,23 @@ func (m *model) predict(in []float64) []float64 {
 	return m.net.Predict(in)
 }
 
-// predictorInto returns an inference function backed by a private plan
+// predictor returns an inference function backed by a private plan
 // runner (shared packed weights, private scratch), safe to call
 // concurrently with other predictors while no training step is mutating
-// the weights. The function writes the prediction into out when it has
-// the right length (allocating otherwise) and returns the filled slice,
-// so a steady-state call allocates nothing. Each call checks the weights
-// version with one atomic load and recompiles when training has
-// published new weights.
-func (m *model) predictorInto() (func(in, out []float64) []float64, error) {
+// the weights. Each call checks the weights version with one atomic load
+// and recompiles when training has published new weights.
+func (m *model) predictor() (func(in []float64) []float64, error) {
 	var r planRunner
 	if err := r.refresh(m); err != nil {
 		return nil, err
 	}
-	return func(in, out []float64) []float64 {
+	return func(in []float64) []float64 {
 		if err := r.refresh(m); err != nil {
 			// The architecture is fixed after materialize and compiled
 			// once already, so only a broken invariant gets here.
 			auerr.Failf("%v", err)
 		}
-		return r.inst.PredictInto(out, in)
+		return r.inst.Predict(in)
 	}, nil
 }
 

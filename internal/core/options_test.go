@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"github.com/autonomizer/autonomizer/internal/auerr"
+	"github.com/autonomizer/autonomizer/internal/stats"
 )
 
 // TestNewRuntimeWithOptions pins the functional-option constructor:
@@ -99,9 +100,9 @@ func TestSpecValidationMessages(t *testing.T) {
 	}
 }
 
-// TestSavedModelSizes pins the exported header decode used by the
-// serving layer.
-func TestSavedModelSizes(t *testing.T) {
+// TestServingPlanSizes pins the sizes the serving plan takes from a
+// SaveModel image, and the rejection of a truncated image.
+func TestServingPlanSizes(t *testing.T) {
 	rt := NewRuntime(Train, 3)
 	spec := ModelSpec{Name: "m", Algo: AdamOpt, Hidden: []int{4}, LR: 0.01}
 	if err := rt.ConfigCtx(context.Background(), spec); err != nil {
@@ -114,14 +115,35 @@ func TestSavedModelSizes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in, out, err := SavedModelSizes(data)
+	p, err := ServingPlan(spec, data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if in != 3 || out != 2 {
-		t.Errorf("SavedModelSizes = (%d, %d), want (3, 2)", in, out)
+	if p.InSize() != 3 || p.OutSize() != 2 {
+		t.Errorf("ServingPlan sizes = (%d, %d), want (3, 2)", p.InSize(), p.OutSize())
 	}
-	if _, _, err := SavedModelSizes([]byte{1, 2}); !errors.Is(err, auerr.ErrCorruptModel) {
+	if _, err := ServingPlan(spec, []byte{1, 2}); !errors.Is(err, auerr.ErrCorruptModel) {
 		t.Errorf("truncated image: %v, want ErrCorruptModel", err)
+	}
+}
+
+// TestParamCountMatchesBuild checks the pre-allocation parameter count a
+// SaveModel image is bounded by against the networks build makes.
+func TestParamCountMatchesBuild(t *testing.T) {
+	for _, c := range []struct {
+		spec    ModelSpec
+		in, out int
+	}{
+		{ModelSpec{Name: "linear"}, 5, 3},
+		{ModelSpec{Name: "dnn", Hidden: []int{64, 32}}, 10, 5},
+		{ModelSpec{Name: "sigmoid", Hidden: []int{4}, OutputActivation: "sigmoid"}, 2, 1},
+		{ModelSpec{Name: "cnn", Type: CNN, InputShape: []int{1, 16, 16}}, 256, 4},
+		{ModelSpec{Name: "wide", Type: CNN, InputShape: []int{4, 40, 24}}, 4 * 40 * 24, 6},
+	} {
+		n := paramCount(c.spec, c.in, c.out)
+		want := newModel(c.spec, stats.NewRNG(1)).build(c.in, c.out).ParamCount()
+		if n != uint64(want) {
+			t.Errorf("%s: paramCount = %d; build has %d", c.spec.Name, n, want)
+		}
 	}
 }

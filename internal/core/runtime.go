@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
-	"fmt"
 	"log/slog"
 	"sort"
 	"sync"
@@ -158,12 +157,14 @@ func (rt *Runtime) ConfigCtx(ctx context.Context, spec ModelSpec) (err error) {
 		if !ok {
 			return auerr.E(auerr.ErrUnknownModel, "core: no saved model %q to load in TS mode", spec.Name)
 		}
-		inSize, outSize, params, err := decodeSavedModel(data)
+		inSize, outSize, params, err := decodeImage(spec, data)
 		if err != nil {
-			return fmt.Errorf("core: model %q: %w", spec.Name, err)
+			return err
 		}
-		m.pendingParams = params
 		if err := m.materialize(inSize, outSize); err != nil {
+			return err
+		}
+		if err := m.loadParams(params); err != nil {
 			return err
 		}
 		// Pack at install: the weights are frozen from here on, so compile
@@ -542,32 +543,11 @@ func (rt *Runtime) LoadModelParams(mdName string, data []byte) (err error) {
 	if m.net == nil {
 		return auerr.E(auerr.ErrNotMaterialized, "core: model %q not materialized", mdName)
 	}
-	_, _, params, err := decodeSavedModel(data)
+	_, _, params, err := decodeImage(m.spec, data)
 	if err != nil {
 		return err
 	}
-	if err := m.net.UnmarshalParams(params); err != nil {
-		return err
-	}
-	m.bumpWeights()
-	return nil
-}
-
-// SavedModelSizes decodes the input/output sizes from a SaveModel image
-// without building a network — the serving layer validates request
-// shapes against these before a bad input ever reaches a batch.
-func SavedModelSizes(data []byte) (inSize, outSize int, err error) {
-	in, out, _, err := decodeSavedModel(data)
-	return in, out, err
-}
-
-func decodeSavedModel(data []byte) (inSize, outSize int, params []byte, err error) {
-	if len(data) < 8 {
-		return 0, 0, nil, auerr.E(auerr.ErrCorruptModel, "saved model too short (%d bytes)", len(data))
-	}
-	in := binary.LittleEndian.Uint32(data[0:4])
-	out := binary.LittleEndian.Uint32(data[4:8])
-	return int(in), int(out), data[8:], nil
+	return m.loadParams(params)
 }
 
 // ModelSizeBytes reports the serialized size of a model's parameters
@@ -647,20 +627,6 @@ func (rt *Runtime) PredictCtx(ctx context.Context, mdName string, in []float64) 
 // parallel rollouts. A network the plan compiler rejects wraps
 // auerr.ErrSpecInvalid.
 func (rt *Runtime) Predictor(mdName string) (fn func(in []float64) []float64, err error) {
-	pred, err := rt.PredictorInto(mdName)
-	if err != nil {
-		return nil, err
-	}
-	return func(in []float64) []float64 { return pred(in, nil) }, nil
-}
-
-// PredictorInto is the destination-passing Predictor: the returned
-// function writes the prediction into out when it has the right length
-// (allocating a fresh slice otherwise) and returns the filled slice. Same
-// concurrency contract as Predictor; with a correctly sized out the
-// steady-state call performs no heap allocation, which is what the
-// serving engine's hot path relies on.
-func (rt *Runtime) PredictorInto(mdName string) (fn func(in, out []float64) []float64, err error) {
 	defer guard(&err)
 	m, ok := rt.getModel(mdName)
 	if !ok {
@@ -669,5 +635,5 @@ func (rt *Runtime) PredictorInto(mdName string) (fn func(in, out []float64) []fl
 	if m.net == nil {
 		return nil, auerr.E(auerr.ErrNotMaterialized, "core: model %q not materialized", mdName)
 	}
-	return m.predictorInto()
+	return m.predictor()
 }

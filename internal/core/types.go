@@ -22,7 +22,6 @@ import (
 	"github.com/autonomizer/autonomizer/internal/auerr"
 	"github.com/autonomizer/autonomizer/internal/nn"
 	"github.com/autonomizer/autonomizer/internal/stats"
-	"github.com/autonomizer/autonomizer/internal/tensor"
 )
 
 // Mode is the execution mode ω of the semantics: TR (training) or TS
@@ -185,12 +184,7 @@ func (s ModelSpec) validate() error {
 		if s.Builder == nil {
 			// The built-in DeepMind-style CNN halves the plane three
 			// times; inputs too small collapse to an empty feature map.
-			h, w := s.InputShape[1], s.InputShape[2]
-			for _, stage := range [][3]int{{5, 2, 2}, {3, 1, 1}, {3, 1, 1}} {
-				h = tensor.ConvOutputSize(h, stage[0], stage[1], stage[2]) / 2
-				w = tensor.ConvOutputSize(w, stage[0], stage[1], stage[2]) / 2
-			}
-			if h < 1 || w < 1 {
+			if h, w := nn.DeepMindFeatureMap(s.InputShape[1], s.InputShape[2]); h < 1 || w < 1 {
 				return bad("InputShape", "%v too small for the built-in CNN (needs ≥1×1 after three conv/pool stages; set Builder for a custom net)", s.InputShape)
 			}
 		}

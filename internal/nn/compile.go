@@ -34,7 +34,6 @@ import (
 // holds no mutable state — share it freely; to execute it, create one
 // *PlanInstance per goroutine with NewInstance.
 type Plan struct {
-	inShape []int
 	inSize  int
 	outSize int
 	layers  []compiledLayer
@@ -69,14 +68,14 @@ func Compile(net *Network, inShape ...int) (*Plan, error) {
 		}
 		inShape = []int{d.InSize}
 	}
-	p := &Plan{inShape: append([]int(nil), inShape...), inSize: 1}
+	p := &Plan{inSize: 1}
 	for _, d := range inShape {
 		if d <= 0 {
 			return nil, fmt.Errorf("nn: compile input shape %v", inShape)
 		}
 		p.inSize *= d
 	}
-	shape := p.inShape
+	shape := inShape
 	for _, l := range net.layers {
 		cl, outShape, err := compileLayer(l, shape)
 		if err != nil {
@@ -163,9 +162,6 @@ func compileLayer(l Layer, shape []int) (compiledLayer, []int, error) {
 		return nil, nil, fmt.Errorf("nn: cannot compile layer %s", l.Name())
 	}
 }
-
-// InShape returns the input shape the plan was compiled for.
-func (p *Plan) InShape() []int { return p.inShape }
 
 // InSize returns the flat input length.
 func (p *Plan) InSize() int { return p.inSize }

@@ -250,26 +250,29 @@ func NewDNN(inSize int, hidden []int, outSize int, rng *stats.RNG) *Network {
 // h and w are the (preprocessed) frame dimensions; frames is the history
 // depth (4 in the paper); actions is the output size.
 func NewDeepMindCNN(frames, h, w, actions int, rng *stats.RNG) *Network {
-	c1 := NewConv2D(frames, 8, 5, 5, 2, 2, rng.Split())
-	h1 := tensor.ConvOutputSize(h, 5, 2, 2) / 2
-	w1 := tensor.ConvOutputSize(w, 5, 2, 2) / 2
-	c2 := NewConv2D(8, 16, 3, 3, 1, 1, rng.Split())
-	h2 := tensor.ConvOutputSize(h1, 3, 1, 1) / 2
-	w2 := tensor.ConvOutputSize(w1, 3, 1, 1) / 2
-	c3 := NewConv2D(16, 16, 3, 3, 1, 1, rng.Split())
-	h3 := tensor.ConvOutputSize(h2, 3, 1, 1) / 2
-	w3 := tensor.ConvOutputSize(w2, 3, 1, 1) / 2
-	flat := 16 * h3 * w3
-	if flat <= 0 {
+	h3, w3 := DeepMindFeatureMap(h, w)
+	if h3 < 1 || w3 < 1 {
 		auerr.Failf("nn: DeepMind CNN input %dx%d too small", h, w)
 	}
+	flat := 16 * h3 * w3
 	return NewNetwork(
-		c1, NewReLU(), NewMaxPool2D(2),
-		c2, NewReLU(), NewMaxPool2D(2),
-		c3, NewReLU(), NewMaxPool2D(2),
+		NewConv2D(frames, 8, 5, 5, 2, 2, rng.Split()), NewReLU(), NewMaxPool2D(2),
+		NewConv2D(8, 16, 3, 3, 1, 1, rng.Split()), NewReLU(), NewMaxPool2D(2),
+		NewConv2D(16, 16, 3, 3, 1, 1, rng.Split()), NewReLU(), NewMaxPool2D(2),
 		NewFlatten(),
 		NewDense(flat, 256, rng.Split()), NewReLU(),
 		NewDense(256, 64, rng.Split()), NewReLU(),
 		NewDense(64, actions, rng.Split()),
 	)
+}
+
+// DeepMindFeatureMap is the h×w plane that NewDeepMindCNN's three
+// conv/pool stages leave of an h×w input; a side below 1 means the input
+// is too small for the architecture.
+func DeepMindFeatureMap(h, w int) (int, int) {
+	for _, k := range [...][3]int{{5, 2, 2}, {3, 1, 1}, {3, 1, 1}} { // kernel, stride, pad
+		h = tensor.ConvOutputSize(h, k[0], k[1], k[2]) / 2
+		w = tensor.ConvOutputSize(w, k[0], k[1], k[2]) / 2
+	}
+	return h, w
 }

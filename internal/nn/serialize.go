@@ -1,10 +1,8 @@
 package nn
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 
 	"github.com/autonomizer/autonomizer/internal/auerr"
@@ -26,101 +24,6 @@ const (
 	modelVersion = 1
 )
 
-// SaveParams serializes the network's parameters to w.
-func (n *Network) SaveParams(w io.Writer) error {
-	params := n.Params()
-	if _, err := w.Write([]byte(modelMagic)); err != nil {
-		return fmt.Errorf("nn: write magic: %w", err)
-	}
-	if err := binary.Write(w, binary.LittleEndian, uint32(modelVersion)); err != nil {
-		return fmt.Errorf("nn: write version: %w", err)
-	}
-	if err := binary.Write(w, binary.LittleEndian, uint32(len(params))); err != nil {
-		return fmt.Errorf("nn: write count: %w", err)
-	}
-	for i, p := range params {
-		shape := p.Shape()
-		if err := binary.Write(w, binary.LittleEndian, uint32(len(shape))); err != nil {
-			return fmt.Errorf("nn: write rank of tensor %d: %w", i, err)
-		}
-		for _, d := range shape {
-			if err := binary.Write(w, binary.LittleEndian, uint32(d)); err != nil {
-				return fmt.Errorf("nn: write dim of tensor %d: %w", i, err)
-			}
-		}
-		for _, v := range p.Data() {
-			if err := binary.Write(w, binary.LittleEndian, math.Float64bits(v)); err != nil {
-				return fmt.Errorf("nn: write data of tensor %d: %w", i, err)
-			}
-		}
-	}
-	return nil
-}
-
-// LoadParams restores parameters from r into an architecture-compatible
-// network (same tensor count and shapes, as rebuilt from the same
-// au_config annotation). Truncated, garbage or architecture-mismatched
-// bytes return an error wrapping auerr.ErrCorruptModel; the network's
-// parameters may be partially overwritten in that case and should not be
-// used without a successful reload.
-func (n *Network) LoadParams(r io.Reader) error {
-	if err := n.loadParams(r); err != nil {
-		return fmt.Errorf("%w: %w", auerr.ErrCorruptModel, err)
-	}
-	return nil
-}
-
-func (n *Network) loadParams(r io.Reader) error {
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(r, magic); err != nil {
-		return fmt.Errorf("nn: read magic: %w", err)
-	}
-	if string(magic) != modelMagic {
-		return fmt.Errorf("nn: bad magic %q", magic)
-	}
-	var version, count uint32
-	if err := binary.Read(r, binary.LittleEndian, &version); err != nil {
-		return fmt.Errorf("nn: read version: %w", err)
-	}
-	if version != modelVersion {
-		return fmt.Errorf("nn: unsupported model version %d", version)
-	}
-	if err := binary.Read(r, binary.LittleEndian, &count); err != nil {
-		return fmt.Errorf("nn: read count: %w", err)
-	}
-	params := n.Params()
-	if int(count) != len(params) {
-		return fmt.Errorf("nn: model has %d tensors, network expects %d", count, len(params))
-	}
-	for i, p := range params {
-		var rank uint32
-		if err := binary.Read(r, binary.LittleEndian, &rank); err != nil {
-			return fmt.Errorf("nn: read rank of tensor %d: %w", i, err)
-		}
-		want := p.Shape()
-		if int(rank) != len(want) {
-			return fmt.Errorf("nn: tensor %d rank %d, want %d", i, rank, len(want))
-		}
-		for j := 0; j < int(rank); j++ {
-			var d uint32
-			if err := binary.Read(r, binary.LittleEndian, &d); err != nil {
-				return fmt.Errorf("nn: read dim of tensor %d: %w", i, err)
-			}
-			if int(d) != want[j] {
-				return fmt.Errorf("nn: tensor %d dim %d is %d, want %d", i, j, d, want[j])
-			}
-		}
-		for j := range p.Data() {
-			var bits uint64
-			if err := binary.Read(r, binary.LittleEndian, &bits); err != nil {
-				return fmt.Errorf("nn: read data of tensor %d: %w", i, err)
-			}
-			p.Data()[j] = math.Float64frombits(bits)
-		}
-	}
-	return nil
-}
-
 // SizeBytes returns the exact serialized size of the model without
 // allocating the full buffer: header + per-tensor shape records + 8 bytes
 // per parameter. This feeds Table 2's "Model Size" columns.
@@ -132,17 +35,78 @@ func (n *Network) SizeBytes() int {
 	return size
 }
 
-// MarshalParams serializes the parameters to a fresh byte slice.
+// MarshalParams serializes the parameters into one SizeBytes()-long
+// slice.
 func (n *Network) MarshalParams() ([]byte, error) {
-	var buf bytes.Buffer
-	buf.Grow(n.SizeBytes())
-	if err := n.SaveParams(&buf); err != nil {
-		return nil, err
+	params := n.Params()
+	b := make([]byte, 0, n.SizeBytes())
+	b = append(b, modelMagic...)
+	b = binary.LittleEndian.AppendUint32(b, modelVersion)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(params)))
+	for _, p := range params {
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(p.Shape())))
+		for _, d := range p.Shape() {
+			b = binary.LittleEndian.AppendUint32(b, uint32(d))
+		}
+		for _, v := range p.Data() {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		}
 	}
-	return buf.Bytes(), nil
+	return b, nil
 }
 
-// UnmarshalParams restores parameters from a byte slice.
+// UnmarshalParams restores parameters from a MarshalParams image into an
+// architecture-compatible network (same tensor count and shapes, as
+// rebuilt from the same au_config annotation). It decodes data in place,
+// allocating nothing, and ignores bytes after the image. Truncated,
+// garbage or architecture-mismatched bytes return an error wrapping
+// auerr.ErrCorruptModel; the network's parameters may be partially
+// overwritten in that case and should not be used without a successful
+// reload.
 func (n *Network) UnmarshalParams(data []byte) error {
-	return n.LoadParams(bytes.NewReader(data))
+	if err := n.unmarshalParams(data); err != nil {
+		return fmt.Errorf("%w: %w", auerr.ErrCorruptModel, err)
+	}
+	return nil
+}
+
+func (n *Network) unmarshalParams(data []byte) error {
+	if len(data) < 12 {
+		return fmt.Errorf("nn: header truncated at %d bytes", len(data))
+	}
+	if string(data[:4]) != modelMagic {
+		return fmt.Errorf("nn: bad magic %q", data[:4])
+	}
+	if version := binary.LittleEndian.Uint32(data[4:]); version != modelVersion {
+		return fmt.Errorf("nn: unsupported model version %d", version)
+	}
+	params := n.Params()
+	if count := binary.LittleEndian.Uint32(data[8:]); int(count) != len(params) {
+		return fmt.Errorf("nn: model has %d tensors, network expects %d", count, len(params))
+	}
+	data = data[12:]
+	for i, p := range params {
+		want := p.Shape()
+		if len(data) < 4+4*len(want) {
+			return fmt.Errorf("nn: shape of tensor %d truncated", i)
+		}
+		if rank := binary.LittleEndian.Uint32(data); int(rank) != len(want) {
+			return fmt.Errorf("nn: tensor %d rank %d, want %d", i, rank, len(want))
+		}
+		for j, w := range want {
+			if d := binary.LittleEndian.Uint32(data[4+4*j:]); int(d) != w {
+				return fmt.Errorf("nn: tensor %d dim %d is %d, want %d", i, j, d, w)
+			}
+		}
+		data = data[4+4*len(want):]
+		vals := p.Data()
+		if len(data) < 8*len(vals) {
+			return fmt.Errorf("nn: data of tensor %d truncated", i)
+		}
+		for j := range vals {
+			vals[j] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*j:]))
+		}
+		data = data[8*len(vals):]
+	}
+	return nil
 }

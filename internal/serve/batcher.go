@@ -146,7 +146,7 @@ func (b *batcher) loop() {
 // execute runs one coalesced batch on the engine current at dispatch
 // time. Requests whose context died in the queue, or whose input does
 // not match the engine's snapshot, fail individually; the survivors run
-// as one minibatch on the replica pool. A panic escaping the kernels is
+// as one minibatch on the engine's plan instances. A panic escaping the kernels is
 // recovered here and surfaced as ErrInvariant on every member — one
 // poisoned batch must not take down the collector.
 //
@@ -199,14 +199,15 @@ func (b *batcher) execute(batch []*batchCall) {
 		}
 	}
 	// One flat allocation per batch holds every member's output; the
-	// replica closures write straight into the per-request slots, so the
+	// plan instances write straight into the per-request slots, so the
 	// cost amortizes over the whole batch instead of one alloc per call.
 	ins := make([][]float64, len(live))
 	outs := make([][]float64, len(live))
-	flat := make([]float64, len(live)*eng.outSize)
+	outSize := eng.plan.OutSize()
+	flat := make([]float64, len(live)*outSize)
 	for i, c := range live {
 		ins[i] = c.in
-		outs[i] = flat[i*eng.outSize : (i+1)*eng.outSize]
+		outs[i] = flat[i*outSize : (i+1)*outSize]
 	}
 	var batchErr error
 	tm := b.met.stageTimer(stageEnginePredict)

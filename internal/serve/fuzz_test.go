@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"runtime"
@@ -59,6 +60,50 @@ func TestDecodersBoundAllocationByInput(t *testing.T) {
 		}
 		if !errors.Is(err, auerr.ErrCorruptStore) {
 			t.Errorf("%s: truncated snapshot: %v, want ErrCorruptStore", name, err)
+		}
+	}
+
+	// Model images: an 8-byte size header and a 12-byte parameter blob
+	// header with no tensors behind it, claiming a [64, 32] DNN with 2^17
+	// inputs and a 1×16×16 CNN with 2^17 outputs; and a CNN image whose
+	// header disagrees with its spec's InputShape (a sound blob, so only
+	// the size check can reject it).
+	image := func(in, out uint32, blob []byte) []byte {
+		b := binary.LittleEndian.AppendUint32(nil, in)
+		return append(binary.LittleEndian.AppendUint32(b, out), blob...)
+	}
+	stub := binary.LittleEndian.AppendUint32([]byte("AUNN"), 1)
+	stub = binary.LittleEndian.AppendUint32(stub, 0)
+	dnn := core.ModelSpec{Algo: core.AdamOpt, Hidden: []int{64, 32}}
+	cnn := core.ModelSpec{Type: core.CNN, Algo: core.AdamOpt, InputShape: []int{1, 16, 16}}
+	srv := NewServer(Config{})
+	defer srv.Close()
+	tr := core.NewRuntimeWith(core.Train, core.WithMetrics(nil))
+	cnn.Name = "c"
+	if err := tr.ConfigCtx(context.Background(), cnn); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.RecordExample("c", make([]float64, 16*16), make([]float64, 4)); err != nil {
+		t.Fatal(err)
+	}
+	sound, err := tr.SaveModel("c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		spec core.ModelSpec
+		img  []byte
+	}{
+		{"dnn inputs", dnn, image(1<<17, 1, stub)},
+		{"cnn outputs", cnn, image(16*16, 1<<17, stub)},
+		{"cnn input size", cnn, image(16*16+1, 4, sound[8:])},
+	} {
+		if got := allocDuring(func() { _, err = srv.Install("m", c.spec, c.img) }); got >= budget {
+			t.Errorf("%s: %d-byte model image allocated %d bytes, want < %d", c.name, len(c.img), got, budget)
+		}
+		if !errors.Is(err, auerr.ErrCorruptModel) {
+			t.Errorf("%s: install: %v, want ErrCorruptModel", c.name, err)
 		}
 	}
 }

@@ -35,9 +35,6 @@ type Config struct {
 	// QueueDepth bounds each model's request queue; a full queue sheds
 	// load with ErrOverloaded/429 (default 256).
 	QueueDepth int
-	// Replicas sets each model's predictor-replica pool size — the
-	// intra-batch parallelism (default: the parallel engine's width).
-	Replicas int
 	// Source, when set, serves empty-body POST /models/{name}/reload by
 	// pulling the fresh snapshot from here (e.g. a FileSource).
 	Source Source
@@ -171,7 +168,7 @@ func (s *Server) Install(name string, spec core.ModelSpec, data []byte) (int, er
 	if m, ok := s.models[name]; ok {
 		version = m.eng.Load().version + 1
 	}
-	eng, err := buildEngine(name, spec, data, version, s.cfg.Replicas)
+	eng, err := buildEngine(name, spec, data, version)
 	if err != nil {
 		return 0, err
 	}
@@ -189,7 +186,7 @@ func (s *Server) Install(name string, spec core.ModelSpec, data []byte) (int, er
 	m.lastReload.Store(time.Now().UnixNano())
 	s.met.modelVersion(name, version)
 	s.log.Info("model installed", "model", name, "version", version,
-		"in", eng.inSize, "out", eng.outSize, "replicas", eng.replicas)
+		"in", eng.plan.InSize(), "out", eng.plan.OutSize(), "instances", len(eng.insts))
 	return version, nil
 }
 
@@ -241,7 +238,7 @@ func (s *Server) Models() []ModelInfo {
 	out := make([]ModelInfo, 0, len(s.models))
 	for _, m := range s.models {
 		e := m.eng.Load()
-		out = append(out, ModelInfo{Name: m.name, Version: e.version, InSize: e.inSize, OutSize: e.outSize})
+		out = append(out, ModelInfo{Name: m.name, Version: e.version, InSize: e.plan.InSize(), OutSize: e.plan.OutSize()})
 	}
 	s.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net/http/httptest"
 	"sync"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"github.com/autonomizer/autonomizer/internal/auerr"
 	"github.com/autonomizer/autonomizer/internal/core"
 	"github.com/autonomizer/autonomizer/internal/nn"
+	"github.com/autonomizer/autonomizer/internal/parallel"
 	"github.com/autonomizer/autonomizer/internal/stats"
 )
 
@@ -363,7 +365,7 @@ func TestClientCancellation(t *testing.T) {
 // HTTP mapping for that class is 429.
 func TestSubmitBackpressure(t *testing.T) {
 	spec, data, _ := trainModel(t, 29)
-	eng, err := buildEngine("m", spec, data, 1, 1)
+	eng, err := buildEngine("m", spec, data, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,40 +437,6 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// BenchmarkServePredict measures serving throughput through the full
-// HTTP + batching stack: one sequential client (each request waits out
-// the batching window alone) versus 16 concurrent clients (requests
-// coalesce, amortizing the window across the batch). The concurrent
-// number divided by the sequential one is the batching win recorded in
-// BENCH_serve.json.
-func BenchmarkServePredict(b *testing.B) {
-	spec, data, _ := trainModel(b, 31)
-	_, url := newTestServer(b, Config{}, spec, data)
-	in := []float64{0.5, 0.25}
-
-	b.Run("single", func(b *testing.B) {
-		cli := NewClient(url)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := cli.Predict("m", in); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("clients16", func(b *testing.B) {
-		b.SetParallelism(16)
-		b.ReportAllocs()
-		b.RunParallel(func(pb *testing.PB) {
-			cli := NewClient(url)
-			for pb.Next() {
-				if _, err := cli.Predict("m", in); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	})
-}
-
 // TestHotReloadInstallsPackedEngine pins the pack-at-install contract of
 // the two-representation architecture: every engine — initial install
 // and hot reload alike — has its serving plan compiled (weights packed
@@ -511,13 +479,81 @@ func TestHotReloadInstallsPackedEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := eng.predictBatch([][]float64{in})
+	got := [][]float64{make([]float64, eng.plan.OutSize())}
+	eng.predictBatchInto([][]float64{in}, got)
 	if len(got) != 1 || len(got[0]) != len(want) {
-		t.Fatalf("predictBatch shape %v", got)
+		t.Fatalf("predictBatchInto shape %v", got)
 	}
 	for i := range want {
 		if got[0][i] != want[i] {
 			t.Fatalf("packed engine output %v, want %v", got[0], want)
+		}
+	}
+}
+
+// TestEngineShardsMapToInstances pins predictBatchInto's shard-to-instance
+// mapping on a 1×16×16 DeepMind CNN: batches of 1, 3 and 32 rows, on
+// engines installed at widths 1, 2 and 8 and on engines whose width
+// changed after the install, each match a Test-mode PredictCtx bit for
+// bit.
+func TestEngineShardsMapToInstances(t *testing.T) {
+	spec := core.ModelSpec{Name: "c", Type: core.CNN, Algo: core.AdamOpt, InputShape: []int{1, 16, 16}}
+	tr := core.NewRuntimeWith(core.Train, core.WithSeed(41), core.WithMetrics(nil))
+	if err := tr.ConfigCtx(context.Background(), spec); err != nil {
+		t.Fatal(err)
+	}
+	rng := stats.NewRNG(42)
+	rows := make([][]float64, 32)
+	for i := range rows {
+		rows[i] = make([]float64, 16*16)
+		for j := range rows[i] {
+			rows[i][j] = rng.Range(-1, 1)
+		}
+	}
+	if err := tr.RecordExample("c", rows[0], []float64{0, 1, 0, 0}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := tr.SaveModel("c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := core.NewRuntimeWith(core.Test, core.WithMetrics(nil))
+	ref.LoadModel("c", data)
+	if err := ref.ConfigCtx(context.Background(), spec); err != nil {
+		t.Fatal(err)
+	}
+	want := make([][]float64, len(rows))
+	for i, in := range rows {
+		if want[i], err = ref.PredictCtx(context.Background(), "c", in); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	defer parallel.SetWorkers(parallel.SetWorkers(1))
+	for _, w := range []struct{ install, run int }{{1, 1}, {2, 2}, {8, 8}, {2, 8}, {8, 1}} {
+		parallel.SetWorkers(w.install)
+		eng, err := buildEngine("c", spec, data, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(eng.insts) != w.install {
+			t.Fatalf("install at width %d built %d instances", w.install, len(eng.insts))
+		}
+		parallel.SetWorkers(w.run)
+		for _, n := range []int{1, 3, 32} {
+			outs := make([][]float64, n)
+			for i := range outs {
+				outs[i] = make([]float64, eng.plan.OutSize())
+			}
+			eng.predictBatchInto(rows[:n], outs)
+			for i := range outs {
+				for j := range want[i] {
+					if math.Float64bits(outs[i][j]) != math.Float64bits(want[i][j]) {
+						t.Fatalf("installed at width %d, run at %d, batch %d: row %d = %v, want %v",
+							w.install, w.run, n, i, outs[i], want[i])
+					}
+				}
+			}
 		}
 	}
 }

@@ -26,10 +26,9 @@ type ModelStatus struct {
 	Version int    `json:"version"`
 	// Plan is the kernel ("avx2", "generic", ...) the engine's compiled
 	// plan was packed for at install time.
-	Plan     string `json:"plan"`
-	InSize   int    `json:"in_size"`
-	OutSize  int    `json:"out_size"`
-	Replicas int    `json:"replicas"`
+	Plan    string `json:"plan"`
+	InSize  int    `json:"in_size"`
+	OutSize int    `json:"out_size"`
 
 	QueueDepth    int    `json:"queue_depth"`
 	QueueCapacity int    `json:"queue_capacity"`
@@ -87,9 +86,8 @@ func (s *Server) Status() Statusz {
 			Name:               m.name,
 			Version:            eng.version,
 			Plan:               tensor.KernelName(),
-			InSize:             eng.inSize,
-			OutSize:            eng.outSize,
-			Replicas:           eng.replicas,
+			InSize:             eng.plan.InSize(),
+			OutSize:            eng.plan.OutSize(),
 			QueueDepth:         m.b.depth(),
 			QueueCapacity:      cap(m.b.queue),
 			ShedTotal:          m.b.shed.Load(),
