@@ -23,7 +23,6 @@
 //	-snapshot PATH      snapshot file to serve (and reload from)
 //	-demo               train and install a small deterministic demo model
 //	-max-batch N        batch size cap (default 32)
-//	-max-delay D        batching window (default 2ms)
 //	-queue N            per-model queue depth; overflow sheds 429 (default 256)
 //	-drift-threshold T  rolling MSE above which a model turns not-ready (default: monitor-only)
 //	-drift-window D     rolling window drift loss is averaged over (default 1m)
@@ -54,7 +53,6 @@ func main() {
 	snapshot := flag.String("snapshot", "", "model snapshot file to serve (written first when -demo is set and the file is absent)")
 	demo := flag.Bool("demo", false, "train and install a small deterministic demo model")
 	maxBatch := flag.Int("max-batch", 0, "max requests coalesced into one batch (default 32)")
-	maxDelay := flag.Duration("max-delay", 0, "batching window the first request of a batch waits (default 2ms)")
 	queue := flag.Int("queue", 0, "per-model queue depth before load shedding (default 256)")
 	driftThreshold := flag.Float64("drift-threshold", 0, "rolling drift MSE above which a model flips /healthz?deep=1 not-ready (0: monitor-only, or AUTONOMIZER_DRIFT_THRESHOLD)")
 	driftWindow := flag.Duration("drift-window", 0, "rolling window drift loss is averaged over (default 1m)")
@@ -84,7 +82,6 @@ func main() {
 	reg.PublishExpvar()
 	srv := serve.NewServer(serve.Config{
 		MaxBatch:   *maxBatch,
-		MaxDelay:   *maxDelay,
 		QueueDepth: *queue,
 		Source:     snapshotSource(*snapshot),
 		Registry:   reg,

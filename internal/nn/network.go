@@ -1,8 +1,6 @@
 package nn
 
 import (
-	"context"
-
 	"github.com/autonomizer/autonomizer/internal/auerr"
 	"github.com/autonomizer/autonomizer/internal/stats"
 	"github.com/autonomizer/autonomizer/internal/tensor"
@@ -164,19 +162,6 @@ func (n *Network) lossGrad(pred, target *tensor.Tensor) *tensor.Tensor {
 		return gi.GradInto(n.gradScratch, pred, target)
 	}
 	return n.loss.Grad(pred, target)
-}
-
-// TrainBatchCtx is the context-aware TrainBatch: a mini-batch is the
-// atomic unit of training (cancelling inside one would discard its
-// work), so cancellation is checked once, before any gradient is
-// computed. A canceled context returns an error wrapping
-// auerr.ErrCanceled and the context's cause, with the network weights
-// untouched.
-func (n *Network) TrainBatchCtx(ctx context.Context, ins, targets []*tensor.Tensor) (float64, error) {
-	if ctx != nil && ctx.Err() != nil {
-		return 0, auerr.Canceled(ctx)
-	}
-	return n.TrainBatch(ins, targets), nil
 }
 
 // TrainBatch accumulates gradients over a mini-batch before one optimizer

@@ -21,20 +21,19 @@ type batchCall struct {
 	done chan struct{}
 }
 
-// batcher is the dynamic micro-batcher for one served model. Window
-// semantics (DESIGN.md §5d): the first request to arrive at an idle
-// batcher opens a batching window of maxDelay; the batch dispatches
-// when the window closes or the batch reaches maxBatch, whichever comes
-// first. A lone request therefore waits up to maxDelay — the price of
-// coalescing — while a saturated queue dispatches full batches back to
-// back with no added latency. Backpressure is a bounded queue: submit
-// on a full queue fails immediately with auerr.ErrOverloaded rather
-// than queuing unboundedly.
+// batcher is the dynamic micro-batcher for one served model. Batch
+// when busy (DESIGN.md §5d): the collector blocks for one request, then
+// takes whatever else is already queued, up to maxBatch, and dispatches
+// at once — it never waits for company. A lone request on an idle
+// batcher therefore runs as a batch of one with no added latency, while
+// requests that arrive during a batch queue up and become the next
+// batch, so coalescing grows with load. Backpressure is a bounded
+// queue: submit on a full queue fails immediately with
+// auerr.ErrOverloaded rather than queuing unboundedly.
 type batcher struct {
 	model    *servedModel
 	queue    chan *batchCall
 	maxBatch int
-	maxDelay time.Duration
 	met      *metricsSet
 
 	// shed counts requests rejected by backpressure for this model —
@@ -47,12 +46,11 @@ type batcher struct {
 	closed  atomic.Bool
 }
 
-func newBatcher(m *servedModel, maxBatch int, maxDelay time.Duration, depth int, met *metricsSet) *batcher {
+func newBatcher(m *servedModel, maxBatch, depth int, met *metricsSet) *batcher {
 	b := &batcher{
 		model:    m,
 		queue:    make(chan *batchCall, depth),
 		maxBatch: maxBatch,
-		maxDelay: maxDelay,
 		met:      met,
 		shedC:    met.shedCounter(m.name),
 		stop:     make(chan struct{}),
@@ -111,8 +109,8 @@ func (b *batcher) close() {
 	}
 }
 
-// loop is the collector goroutine: block for the window-opening
-// request, fill the batch until maxBatch or the window deadline, then
+// loop is the collector goroutine: block for the first request, take
+// whatever else is already queued up to maxBatch without blocking, then
 // execute and fan the results back out.
 func (b *batcher) loop() {
 	defer b.stopped.Done()
@@ -124,21 +122,15 @@ func (b *batcher) loop() {
 			return
 		}
 		batch := append(make([]*batchCall, 0, b.maxBatch), first)
-		timer := time.NewTimer(b.maxDelay)
-	fill:
+	drain:
 		for len(batch) < b.maxBatch {
 			select {
 			case c := <-b.queue:
 				batch = append(batch, c)
-			case <-timer.C:
-				break fill
-			case <-b.stop:
-				timer.Stop()
-				b.execute(batch)
-				return
+			default:
+				break drain
 			}
 		}
-		timer.Stop()
 		b.execute(batch)
 	}
 }
@@ -151,38 +143,35 @@ func (b *batcher) loop() {
 // poisoned batch must not take down the collector.
 //
 // Observability: every member's queue wait and the batch's assembly
-// window land in the per-stage histograms, and — when tracing is on —
-// the batch opens a serve.batch span continuing the first live
-// request's trace, with a serve.engine_predict child carrying one span
-// link per coalesced request, so a trace shows exactly which
-// batchmates shared the forward pass.
+// time (its oldest member's wait) land in the per-stage histograms,
+// and — when tracing is on — the batch opens a serve.batch span
+// continuing the first live request's trace, with a
+// serve.engine_predict child carrying one span link per coalesced
+// request, so a trace shows exactly which batchmates shared the
+// forward pass.
 func (b *batcher) execute(batch []*batchCall) {
 	eng := b.model.eng.Load()
-	now := time.Now()
-	waits := make([]float64, len(batch))
-	for i, c := range batch {
-		waits[i] = now.Sub(c.enq).Seconds()
-	}
-	b.met.observeBatch(len(batch), waits)
+	b.met.observeBatch(len(batch))
 	if b.met != nil {
-		for _, w := range waits {
-			b.met.stageObserve(stageQueueWait, w)
+		now := time.Now()
+		for _, c := range batch {
+			b.met.stageObserve(stageQueueWait, now.Sub(c.enq).Seconds())
 		}
 		b.met.stageObserve(stageBatchAssemble, now.Sub(batch[0].enq).Seconds())
 	}
 
 	live := batch[:0]
 	for _, c := range batch {
-		switch {
-		case c.ctx != nil && c.ctx.Err() != nil:
+		if c.ctx != nil && c.ctx.Err() != nil {
 			c.err = auerr.Canceled(c.ctx)
-			close(c.done)
-		case eng.checkInput(c.in) != nil:
+		} else {
 			c.err = eng.checkInput(c.in)
-			close(c.done)
-		default:
-			live = append(live, c)
 		}
+		if c.err != nil {
+			close(c.done)
+			continue
+		}
+		live = append(live, c)
 	}
 	if len(live) == 0 {
 		return

@@ -7,9 +7,10 @@ import (
 )
 
 // serveStage enumerates the per-stage latency decomposition of one
-// served request: time queued, time the batch window spent assembling,
-// time inside the engine forward pass, time encoding the response. The
-// names are the closed vocabulary of the "stage" label.
+// served request: time queued, time the batch spent assembling (its
+// oldest member's wait), time inside the engine forward pass, time
+// encoding the response. The names are the closed vocabulary of the
+// "stage" label.
 type serveStage int
 
 const (
@@ -36,7 +37,6 @@ type metricsSet struct {
 	// this shows batches above 1 under concurrent load.
 	batchSize *obs.Histogram
 	batches   *obs.Counter
-	coalesce  *obs.Histogram
 	overloads *obs.Counter
 	stages    [nServeStages]*obs.Histogram
 }
@@ -52,15 +52,12 @@ func newMetricsSet(reg *obs.Registry) *metricsSet {
 			obs.ExpBuckets(1, 2, 8), nil),
 		batches: reg.Counter("autonomizer_serve_batches_total",
 			"Inference batches dispatched by the micro-batcher.", nil),
-		coalesce: reg.Histogram("autonomizer_serve_coalesce_seconds",
-			"Time a request waited in the batching window before dispatch.",
-			nil, nil),
 		overloads: reg.Counter("autonomizer_serve_overloaded_total",
 			"Requests rejected by backpressure (bounded queue full).", nil),
 	}
 	for st := serveStage(0); st < nServeStages; st++ {
 		m.stages[st] = reg.Histogram("autonomizer_serve_stage_duration_seconds",
-			"Per-stage latency decomposition of served requests (queue wait, batch assembly, engine predict, response encode).",
+			"Per-stage latency decomposition of served requests (queue wait, batch assembly as the oldest member's wait, engine predict, response encode).",
 			nil, obs.Labels{"stage": stageName[st]})
 	}
 	return m
@@ -157,15 +154,11 @@ func (m *metricsSet) overloaded() {
 	m.overloads.Inc()
 }
 
-// observeBatch records one dispatched batch and its members' coalesce
-// latencies (in seconds).
-func (m *metricsSet) observeBatch(size int, waits []float64) {
+// observeBatch records one dispatched batch of size requests.
+func (m *metricsSet) observeBatch(size int) {
 	if m == nil {
 		return
 	}
 	m.batches.Inc()
 	m.batchSize.Observe(float64(size))
-	for _, w := range waits {
-		m.coalesce.Observe(w)
-	}
 }

@@ -33,7 +33,7 @@ func TestTracedRequestSpanChain(t *testing.T) {
 	defer obs.SetTracing(oldT)
 
 	spec, data, _ := trainModel(t, 41)
-	_, url := newTestServer(t, Config{Registry: obs.NewRegistry(), MaxDelay: time.Millisecond}, spec, data)
+	_, url := newTestServer(t, Config{Registry: obs.NewRegistry()}, spec, data)
 	cli := NewClient(url)
 	out, err := cli.PredictCtx(context.Background(), "m", []float64{0.3, 0.7})
 	if err != nil || len(out) == 0 {
@@ -87,7 +87,7 @@ func TestMalformedTraceparentStartsFreshTrace(t *testing.T) {
 	defer obs.SetTracing(oldT)
 
 	spec, data, _ := trainModel(t, 42)
-	_, url := newTestServer(t, Config{Registry: obs.NewRegistry(), MaxDelay: time.Millisecond}, spec, data)
+	_, url := newTestServer(t, Config{Registry: obs.NewRegistry()}, spec, data)
 
 	body, err := json.Marshal(PredictRequest{Model: "m", Input: []float64{0.1, 0.2}})
 	if err != nil {
@@ -125,7 +125,6 @@ func TestMalformedTraceparentStartsFreshTrace(t *testing.T) {
 func TestDriftFlipsReadiness(t *testing.T) {
 	spec, data, ref := trainModel(t, 43)
 	_, url := newTestServer(t, Config{
-		MaxDelay:        time.Millisecond,
 		DriftThreshold:  0.01,
 		DriftWindow:     200 * time.Millisecond,
 		DriftMinSamples: 3,
@@ -237,7 +236,6 @@ func TestStatusz(t *testing.T) {
 	spec, data, _ := trainModel(t, 44)
 	srv, url := newTestServer(t, Config{
 		MaxBatch:       8,
-		MaxDelay:       time.Millisecond,
 		QueueDepth:     32,
 		DriftThreshold: 0.5,
 	}, spec, data)
@@ -268,8 +266,8 @@ func TestStatusz(t *testing.T) {
 	if st.Kernel == "" || st.Workers < 1 {
 		t.Errorf("status kernel=%q workers=%d, want engine posture reported", st.Kernel, st.Workers)
 	}
-	if st.MaxBatch != 8 || st.QueueCapacity != 32 || st.MaxDelayMS != 1 {
-		t.Errorf("status batch config (%d, %v, %d), want (8, 1ms, 32)", st.MaxBatch, st.MaxDelayMS, st.QueueCapacity)
+	if st.MaxBatch != 8 || st.QueueCapacity != 32 {
+		t.Errorf("status batch config (%d, %d), want (8, 32)", st.MaxBatch, st.QueueCapacity)
 	}
 	if st.DriftThreshold != 0.5 {
 		t.Errorf("status drift threshold %v, want 0.5", st.DriftThreshold)
@@ -313,7 +311,7 @@ func TestStatusz(t *testing.T) {
 func TestPerModelLatencyAndStageSeries(t *testing.T) {
 	reg := obs.NewRegistry()
 	spec, data, _ := trainModel(t, 45)
-	_, url := newTestServer(t, Config{Registry: reg, MaxDelay: time.Millisecond}, spec, data)
+	_, url := newTestServer(t, Config{Registry: reg}, spec, data)
 	cli := NewClient(url)
 	for i := 0; i < 10; i++ {
 		if _, err := cli.Predict("m", []float64{0.1, 0.9}); err != nil {

@@ -27,11 +27,6 @@ import (
 type Config struct {
 	// MaxBatch caps how many requests one batch coalesces (default 32).
 	MaxBatch int
-	// MaxDelay is the batching window: how long the first request of a
-	// batch waits for company before dispatch (default 2ms). Lower it
-	// for latency-sensitive single-stream callers; raise it to fatten
-	// batches under bursty load.
-	MaxDelay time.Duration
 	// QueueDepth bounds each model's request queue; a full queue sheds
 	// load with ErrOverloaded/429 (default 256).
 	QueueDepth int
@@ -60,9 +55,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.MaxBatch < 1 {
 		c.MaxBatch = 32
-	}
-	if c.MaxDelay <= 0 {
-		c.MaxDelay = 2 * time.Millisecond
 	}
 	if c.QueueDepth < 1 {
 		c.QueueDepth = 256
@@ -177,7 +169,7 @@ func (s *Server) Install(name string, spec core.ModelSpec, data []byte) (int, er
 		m = &servedModel{name: name}
 		m.eng.Store(eng)
 		m.lat = s.met.modelLatency(name)
-		m.b = newBatcher(m, s.cfg.MaxBatch, s.cfg.MaxDelay, s.cfg.QueueDepth, s.met)
+		m.b = newBatcher(m, s.cfg.MaxBatch, s.cfg.QueueDepth, s.met)
 		s.models[name] = m
 		s.met.queueDepth(name, func() float64 { return float64(m.b.depth()) })
 	} else {

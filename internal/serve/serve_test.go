@@ -5,7 +5,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math"
+	"net/http"
 	"net/http/httptest"
 	"sync"
 	"testing"
@@ -14,6 +16,7 @@ import (
 	"github.com/autonomizer/autonomizer/internal/auerr"
 	"github.com/autonomizer/autonomizer/internal/core"
 	"github.com/autonomizer/autonomizer/internal/nn"
+	"github.com/autonomizer/autonomizer/internal/obs"
 	"github.com/autonomizer/autonomizer/internal/parallel"
 	"github.com/autonomizer/autonomizer/internal/stats"
 )
@@ -74,7 +77,7 @@ func newTestServer(t testing.TB, cfg Config, spec core.ModelSpec, data []byte) (
 // leak into results. Run under -race in CI.
 func TestBatchedEquivalence(t *testing.T) {
 	spec, data, ref := trainModel(t, 21)
-	_, url := newTestServer(t, Config{MaxBatch: 8, MaxDelay: time.Millisecond}, spec, data)
+	_, url := newTestServer(t, Config{MaxBatch: 8}, spec, data)
 
 	const perClient = 25
 	for _, width := range []int{1, 4, 16} {
@@ -139,37 +142,61 @@ func TestBinaryJSONParity(t *testing.T) {
 	}
 }
 
-// TestWindowSemantics pins the batching window behavior of DESIGN.md
-// §5d: a lone request pays up to MaxDelay waiting for company; a full
-// batch dispatches without waiting out the window.
-func TestWindowSemantics(t *testing.T) {
-	const window = 300 * time.Millisecond
+// TestBatchWhenBusy pins the batching semantics of DESIGN.md §5d: the
+// collector dispatches whatever is already queued, in batches of up to
+// maxBatch, and a lone request on an idle batcher goes out alone —
+// nothing ever waits for company.
+func TestBatchWhenBusy(t *testing.T) {
 	spec, data, _ := trainModel(t, 23)
-	_, url := newTestServer(t, Config{MaxBatch: 4, MaxDelay: window}, spec, data)
-	cli := NewClient(url)
-
-	start := time.Now()
-	if _, err := cli.Predict("m", []float64{0.1, 0.2}); err != nil {
+	eng, err := buildEngine("m", spec, data, 1)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if lone := time.Since(start); lone < window*8/10 {
-		t.Errorf("lone request returned in %v; want it to wait out the %v window", lone, window)
-	}
-
-	start = time.Now()
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := cli.Predict("m", []float64{0.3, 0.4}); err != nil {
-				t.Error(err)
+	const maxBatch = 4
+	for _, k := range []int{3, 10} {
+		t.Run(fmt.Sprintf("queued%d", k), func(t *testing.T) {
+			m := &servedModel{name: "m"}
+			m.eng.Store(eng)
+			met := newMetricsSet(obs.NewRegistry())
+			// No collector goroutine yet: all k requests queue first.
+			b := &batcher{
+				model: m, queue: make(chan *batchCall, k),
+				maxBatch: maxBatch, met: met, stop: make(chan struct{}),
 			}
-		}()
-	}
-	wg.Wait()
-	if full := time.Since(start); full >= window {
-		t.Errorf("full batch took %v; want dispatch before the %v window closes", full, window)
+			submit := func() {
+				if _, err := b.submit(context.Background(), []float64{0.1, 0.2}); err != nil {
+					t.Error(err)
+				}
+			}
+			var wg sync.WaitGroup
+			for i := 0; i < k; i++ {
+				wg.Add(1)
+				go func() { defer wg.Done(); submit() }()
+			}
+			for len(b.queue) < k {
+				time.Sleep(time.Millisecond)
+			}
+			b.stopped.Add(1)
+			go b.loop()
+			defer b.close()
+			wg.Wait()
+			want := (k + maxBatch - 1) / maxBatch
+			if got := met.batches.Value(); got != uint64(want) {
+				t.Errorf("%d queued requests dispatched as %d batches, want %d", k, got, want)
+			}
+			if got := met.batchSize.Sum(); got != float64(k) {
+				t.Errorf("batch sizes sum to %v, want %d", got, k)
+			}
+
+			// A lone request on the idle, running batcher is a batch of one.
+			submit()
+			if got := met.batches.Value(); got != uint64(want+1) {
+				t.Errorf("lone request: %d batches in total, want %d", got, want+1)
+			}
+			if got := met.batchSize.Sum(); got != float64(k+1) {
+				t.Errorf("lone request: batch sizes sum to %v, want %d", got, k+1)
+			}
+		})
 	}
 }
 
@@ -179,7 +206,7 @@ func TestWindowSemantics(t *testing.T) {
 func TestHotReloadKeepsServing(t *testing.T) {
 	spec, data1, ref1 := trainModel(t, 24)
 	_, data2, ref2 := trainModel(t, 99)
-	srv, url := newTestServer(t, Config{MaxBatch: 8, MaxDelay: time.Millisecond}, spec, data1)
+	srv, url := newTestServer(t, Config{MaxBatch: 8}, spec, data1)
 
 	in := []float64{0.6, 0.3}
 	want1, err := ref1.PredictCtx(context.Background(), "m", in)
@@ -342,15 +369,31 @@ func TestClientQuerierFlow(t *testing.T) {
 // a canceled caller gets the same typed ErrCanceled as in-process.
 func TestClientCancellation(t *testing.T) {
 	spec, data, _ := trainModel(t, 28)
-	_, url := newTestServer(t, Config{MaxBatch: 64, MaxDelay: time.Second}, spec, data)
-	cli := NewClient(url)
+	srv := NewServer(Config{})
+	if _, err := srv.Install("m", spec, data); err != nil {
+		t.Fatal(err)
+	}
+	// The server holds every request until its caller gives up, then
+	// serves it. The body is read first: net/http only notices a
+	// closed connection, and ends the request context, once the body
+	// is consumed.
+	h := srv.Handler()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
+			t.Error(err)
+		}
+		<-r.Context().Done()
+		r.Body = io.NopCloser(bytes.NewReader(body))
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(func() { ts.Close(); srv.Close() })
+	cli := NewClient(ts.URL)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	// The lone request sits in a 1s batching window; the 20ms deadline
-	// fires first.
 	if _, err := cli.PredictCtx(ctx, "m", []float64{0.1, 0.2}); !errors.Is(err, auerr.ErrCanceled) {
-		t.Errorf("deadline during batching window: %v, want ErrCanceled", err)
+		t.Errorf("deadline while the server holds the request: %v, want ErrCanceled", err)
 	}
 
 	canceled, cancelNow := context.WithCancel(context.Background())
@@ -373,8 +416,7 @@ func TestSubmitBackpressure(t *testing.T) {
 	m.eng.Store(eng)
 	// No collector goroutine: the queue genuinely fills.
 	b := &batcher{
-		model: m, queue: make(chan *batchCall, 1),
-		maxBatch: 4, maxDelay: time.Second,
+		model: m, queue: make(chan *batchCall, 1), maxBatch: 4,
 		met: newMetricsSet(nil), stop: make(chan struct{}),
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -445,7 +487,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 func TestHotReloadInstallsPackedEngine(t *testing.T) {
 	spec, data1, _ := trainModel(t, 31)
 	_, data2, ref2 := trainModel(t, 32)
-	srv, _ := newTestServer(t, Config{MaxBatch: 4, MaxDelay: time.Millisecond}, spec, data1)
+	srv, _ := newTestServer(t, Config{MaxBatch: 4}, spec, data1)
 
 	srv.mu.RLock()
 	sm := srv.models["m"]

@@ -49,9 +49,8 @@ type Statusz struct {
 	Kernel        string  `json:"kernel"`
 	Workers       int     `json:"workers"`
 
-	MaxBatch      int     `json:"max_batch"`
-	MaxDelayMS    float64 `json:"max_delay_ms"`
-	QueueCapacity int     `json:"queue_capacity"`
+	MaxBatch      int `json:"max_batch"`
+	QueueCapacity int `json:"queue_capacity"`
 
 	DriftThreshold     float64 `json:"drift_threshold"`
 	DriftWindowSeconds float64 `json:"drift_window_seconds"`
@@ -70,7 +69,6 @@ func (s *Server) Status() Statusz {
 		Kernel:             tensor.KernelName(),
 		Workers:            parallel.Workers(),
 		MaxBatch:           s.cfg.MaxBatch,
-		MaxDelayMS:         float64(s.cfg.MaxDelay) / float64(time.Millisecond),
 		QueueCapacity:      s.cfg.QueueDepth,
 		DriftThreshold:     s.drift.Threshold(),
 		DriftWindowSeconds: s.drift.Window().Seconds(),

@@ -14,7 +14,7 @@ set -euo pipefail
 BASE="${1:-http://127.0.0.1:8080}"
 TRIES="${TRIES:-30}"
 CLIENTS="${CLIENTS:-16}"
-PER_CLIENT="${PER_CLIENT:-50}"
+PER_CLIENT="${PER_CLIENT:-100}"
 
 for i in $(seq 1 "$TRIES"); do
     if curl -fsS "$BASE/healthz" >/dev/null 2>&1; then
@@ -64,16 +64,16 @@ code=$(curl -s -o /tmp/serve_err.json -w '%{http_code}' -X POST "$BASE/v1/predic
 grep -q '"class":"spec_invalid"' /tmp/serve_err.json || die "wrong-size input not classed: $(cat /tmp/serve_err.json)"
 
 # Concurrent clients hammer predict so the micro-batcher has company to
-# coalesce; each client issues PER_CLIENT sequential requests.
+# coalesce. The batcher dispatches whatever is queued the moment it is
+# free, so only requests that overlap a running batch share one; each
+# client therefore sends its PER_CLIENT requests as one parallel curl
+# burst (the ?i=[1-N] URL glob), not one request at a time.
 note "driving $CLIENTS concurrent clients x $PER_CLIENT requests"
 for c in $(seq 1 "$CLIENTS"); do
-    (
-        for _ in $(seq 1 "$PER_CLIENT"); do
-            curl -fsS -X POST "$BASE/v1/predict" \
-                -H 'Content-Type: application/json' \
-                -d '{"model":"demo","input":[0.5,0.25,0.125,0.0625]}' >/dev/null
-        done
-    ) &
+    curl -fsS -Z --parallel-immediate --parallel-max 16 -X POST \
+        "$BASE/v1/predict?i=[1-$PER_CLIENT]" \
+        -H 'Content-Type: application/json' \
+        -d '{"model":"demo","input":[0.5,0.25,0.125,0.0625]}' >/dev/null &
 done
 wait
 
