@@ -3,8 +3,9 @@
 // optionally — a supervisor that spawns and babysits those backends as
 // child processes (restart with exponential backoff, crash-loop
 // detection). The router's HTTP surface is endpoint-compatible with a
-// single auserve, so clients point autonomizer.Dial at it unchanged
-// (see internal/fleet and DESIGN.md §5i).
+// single auserve, and it is the one way to reach a fleet: clients point
+// autonomizer.Dial at the router's URL unchanged (see internal/fleet
+// and DESIGN.md §5i).
 //
 // Usage:
 //
@@ -19,10 +20,9 @@
 //	-worker CMD          worker command template; {addr}, {port} and {index}
 //	                     are substituted per worker (default "auserve -addr {addr}")
 //	-port-base P         first spawned worker port (default 8100)
-//	-vnodes N            virtual nodes per backend on the hash ring (default 64)
-//	-health-interval D   per-backend deep-health probe cadence (default 250ms)
-//	-fail-after N        consecutive probe failures before a backend is marked
-//	                     down and its models rehash away (default 2)
+//	-health-interval D   per-backend deep-health probe cadence (default 250ms);
+//	                     two consecutive failed probes mark a backend down and
+//	                     its models rehash away
 //	-log-format F        text (default) or json
 //	-log-level L         debug, info (default), warn, error
 //	-trace               record per-request spans (see /debug/spans)
@@ -50,9 +50,7 @@ func main() {
 	spawn := flag.Int("spawn", 0, "spawn N supervised auserve workers on 127.0.0.1")
 	workerTmpl := flag.String("worker", "auserve -addr {addr}", "worker command template ({addr}, {port}, {index} substituted)")
 	portBase := flag.Int("port-base", 8100, "first spawned worker port")
-	vnodes := flag.Int("vnodes", 0, "virtual nodes per backend on the hash ring (default 64)")
 	healthInterval := flag.Duration("health-interval", 0, "deep-health probe cadence per backend (default 250ms)")
-	failAfter := flag.Int("fail-after", 0, "consecutive probe failures before a backend is marked down (default 2)")
 	logFormat := flag.String("log-format", "text", "diagnostic log format: text|json")
 	logLevel := flag.String("log-level", "info", "minimum log level: debug|info|warn|error")
 	traceSpans := flag.Bool("trace", false, "record per-request spans (exported on /debug/spans)")
@@ -113,9 +111,7 @@ func main() {
 
 	router := fleet.NewRouter(fleet.Config{
 		Backends:       urls,
-		VNodes:         *vnodes,
 		HealthInterval: *healthInterval,
-		FailAfter:      *failAfter,
 		Logger:         log,
 		Supervisor:     sup,
 	})

@@ -4,7 +4,6 @@ import (
 	"strings"
 
 	"github.com/autonomizer/autonomizer/internal/auerr"
-	"github.com/autonomizer/autonomizer/internal/fleet"
 	"github.com/autonomizer/autonomizer/internal/serve"
 )
 
@@ -22,11 +21,10 @@ import (
 //	                              no configuration means in-process)
 //	"embedded:"                   same, explicit
 //	"embedded:train"              embedded Train-mode *Runtime
-//	"http://host:port"            *Client against one auserve (or a fleet
-//	"https://host:port"           router — the surfaces are identical)
-//	"fleet:http://a,http://b"     fleet-aware *Client: model names
-//	                              consistent-hashed across the listed
-//	                              backends, dead backends rehashed away
+//	"http://host:port"            *Client against one auserve, or against
+//	"https://host:port"           an aufleet router: a fleet is reached
+//	                              through its router's URL, whose surface
+//	                              is a single auserve's
 //
 // Anything else fails with ErrSpecInvalid. Client options apply to the
 // remote targets; embedded targets have no transport and ignore them.
@@ -43,26 +41,8 @@ func Dial(target string, opts ...ClientOption) (Querier, error) {
 			"autonomizer: unknown embedded mode %q (want \"embedded:\" or \"embedded:train\")", target)
 	case strings.HasPrefix(target, "http://") || strings.HasPrefix(target, "https://"):
 		return serve.NewClient(target, opts...), nil
-	case strings.HasPrefix(target, "fleet:"):
-		var endpoints []string
-		for _, e := range strings.Split(strings.TrimPrefix(target, "fleet:"), ",") {
-			if e = strings.TrimSpace(e); e != "" {
-				endpoints = append(endpoints, e)
-			}
-		}
-		if len(endpoints) == 0 {
-			return nil, auerr.E(auerr.ErrSpecInvalid,
-				"autonomizer: fleet target needs at least one backend URL")
-		}
-		for _, e := range endpoints {
-			if !strings.HasPrefix(e, "http://") && !strings.HasPrefix(e, "https://") {
-				return nil, auerr.E(auerr.ErrSpecInvalid,
-					"autonomizer: fleet backend %q is not an http(s) URL", e)
-			}
-		}
-		return fleet.NewClient(endpoints, opts...), nil
 	default:
 		return nil, auerr.E(auerr.ErrSpecInvalid,
-			"autonomizer: cannot dial %q (want \"\", \"embedded:\", \"embedded:train\", an http(s) URL, or \"fleet:URL,URL,...\")", target)
+			"autonomizer: cannot dial %q (want \"\", \"embedded:\", \"embedded:train\", or an http(s) URL)", target)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	autonomizer "github.com/autonomizer/autonomizer"
+	"github.com/autonomizer/autonomizer/internal/fleet"
 	"github.com/autonomizer/autonomizer/internal/serve"
 )
 
@@ -23,7 +24,7 @@ func TestDialResolution(t *testing.T) {
 			t.Fatalf("Dial(%q) = %T, want *Runtime", target, q)
 		}
 	}
-	for _, target := range []string{"http://127.0.0.1:1", "https://example.invalid", "fleet:http://a:1,http://b:1"} {
+	for _, target := range []string{"http://127.0.0.1:1", "https://example.invalid"} {
 		q, err := autonomizer.Dial(target)
 		if err != nil {
 			t.Fatalf("Dial(%q): %v", target, err)
@@ -34,6 +35,7 @@ func TestDialResolution(t *testing.T) {
 	}
 	for _, target := range []string{
 		"embedded:banana", "ftp://nope", "fleet:", "fleet: , ", "fleet:ftp://x", "banana",
+		"fleet:http://a:1,http://b:1",
 	} {
 		if _, err := autonomizer.Dial(target); !errors.Is(err, autonomizer.ErrSpecInvalid) {
 			t.Errorf("Dial(%q) err = %v, want ErrSpecInvalid", target, err)
@@ -42,9 +44,9 @@ func TestDialResolution(t *testing.T) {
 }
 
 // TestDialEndToEnd runs the same Querier-shaped decision step against
-// all three Dial target classes — embedded, single server, fleet of
-// two — and demands identical answers. The migration story in one
-// test: only the target string changes.
+// embedded, a single server and a fleet of two behind a router, and
+// demands identical answers. The migration story in one test: only the
+// target string changes.
 func TestDialEndToEnd(t *testing.T) {
 	spec, data, _ := trainAndSave(t)
 
@@ -75,7 +77,11 @@ func TestDialEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fleetQ, err := autonomizer.Dial("fleet:"+b1.URL+","+b2.URL,
+	router := fleet.NewRouter(fleet.Config{Backends: []string{b1.URL, b2.URL}})
+	router.Start()
+	routerWeb := httptest.NewServer(router.Handler())
+	t.Cleanup(func() { routerWeb.Close(); router.Close() })
+	fleetQ, err := autonomizer.Dial(routerWeb.URL,
 		autonomizer.WithRetry(autonomizer.RetryPolicy{}))
 	if err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -179,7 +180,30 @@ func TestBuildTable1Shape(t *testing.T) {
 	if len(rows) != 9 {
 		t.Fatalf("Table 1 has %d rows, want 9", len(rows))
 	}
+	// The measured column of EXPERIMENTS.md at seed 1, exactly: target
+	// variables, candidates and surviving features per subject. LOC
+	// columns move with edits to the subjects and are not pinned.
+	want := map[string]struct {
+		trg, cand int
+		feats     []int
+	}{
+		"Canny":      {3, 21, []int{1, 11, 11}},
+		"Rothwell":   {3, 9, []int{1, 4, 8}},
+		"Phylip":     {3, 21, []int{6, 10, 11}},
+		"Sphinx":     {2, 22, []int{8, 12}},
+		"Flappybird": {2, 29, []int{6}},
+		"Mario":      {1, 14, []int{9}},
+		"Arkanoid":   {1, 17, []int{8}},
+		"TORCS":      {1, 20, []int{8}},
+		"Breakout":   {1, 13, []int{8}},
+	}
 	for _, r := range rows {
+		if w, ok := want[r.Program]; !ok {
+			t.Errorf("unexpected Table 1 row %q", r.Program)
+		} else if r.TrgVars != w.trg || r.Candidate != w.cand || !slices.Equal(r.FeatureCounts, w.feats) {
+			t.Errorf("%s: trg/candidates/features = %d / %d / %v, want %d / %d / %v",
+				r.Program, r.TrgVars, r.Candidate, r.FeatureCounts, w.trg, w.cand, w.feats)
+		}
 		if r.TrgVars == 0 || r.Candidate == 0 || len(r.FeatureCounts) == 0 {
 			t.Errorf("%s: incomplete row %+v", r.Program, r)
 		}

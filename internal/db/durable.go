@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -121,29 +120,6 @@ func (s *Store) logRecord(typ byte, payload []byte) {
 	}
 }
 
-// saveImageLocked builds the Save() serialization while s.mu is held.
-func (s *Store) saveImageLocked() []byte {
-	var buf bytes.Buffer
-	names := make([]string, 0, len(s.data))
-	for k := range s.data {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	buf.WriteString(storeMagic)
-	binary.Write(&buf, binary.LittleEndian, uint32(storeVersion))
-	binary.Write(&buf, binary.LittleEndian, uint32(len(names)))
-	for _, name := range names {
-		vals := s.data[name]
-		binary.Write(&buf, binary.LittleEndian, uint32(len(name)))
-		buf.WriteString(name)
-		binary.Write(&buf, binary.LittleEndian, uint32(len(vals)))
-		for _, v := range vals {
-			binary.Write(&buf, binary.LittleEndian, math.Float64bits(v))
-		}
-	}
-	return buf.Bytes()
-}
-
 // DurableStore couples a Store with the WAL that journals it.
 type DurableStore struct {
 	*Store
@@ -217,12 +193,12 @@ func (s *Store) applyWALRecord(typ byte, payload []byte) error {
 	case walOpStoreSnapshot:
 		// A snapshot resets the store to the embedded Save image; stale
 		// pre-compaction records replayed before it are superseded.
-		tmp := New()
-		if err := tmp.load(bytes.NewReader(payload)); err != nil {
+		data, err := decodeImage(payload)
+		if err != nil {
 			return err
 		}
 		s.mu.Lock()
-		s.data = tmp.data
+		s.data = data
 		s.mu.Unlock()
 	default:
 		return fmt.Errorf("db: unknown store record type 0x%02x", typ)

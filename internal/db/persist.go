@@ -1,11 +1,11 @@
 package db
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
+	"sort"
 
 	"github.com/autonomizer/autonomizer/internal/auerr"
 )
@@ -15,10 +15,11 @@ import (
 //	magic "AUDB" | uint32 version | uint32 nameCount
 //	per name: uint32 nameLen | name bytes | uint32 valueCount | values
 //
-// The paper's runtime "automatically records the values of the feature
-// variables into a database"; this is the on-disk form of that store,
-// letting a training run's extracted traces be saved and fed to offline
-// SL training in a later process.
+// Names appear in strictly increasing order. The paper's runtime
+// "automatically records the values of the feature variables into a
+// database"; this is the on-disk form of that store, letting a training
+// run's extracted traces be saved and fed to offline SL training in a
+// later process. The WAL's snapshot records carry the same image.
 
 const (
 	storeMagic   = "AUDB"
@@ -27,99 +28,111 @@ const (
 
 // Save serializes the store's full contents to w.
 func (s *Store) Save(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	snap := s.Snapshot()
-	if _, err := bw.WriteString(storeMagic); err != nil {
-		return fmt.Errorf("db: write magic: %w", err)
+	s.mu.RLock()
+	img := s.saveImageLocked()
+	s.mu.RUnlock()
+	if _, err := w.Write(img); err != nil {
+		return fmt.Errorf("db: write image: %w", err)
 	}
-	if err := binary.Write(bw, binary.LittleEndian, uint32(storeVersion)); err != nil {
-		return fmt.Errorf("db: write version: %w", err)
+	return nil
+}
+
+// saveImageLocked encodes the store as one image while s.mu is held.
+func (s *Store) saveImageLocked() []byte {
+	names := make([]string, 0, len(s.data))
+	size := 12
+	for k, v := range s.data {
+		names = append(names, k)
+		size += 8 + len(k) + 8*len(v)
 	}
-	if err := binary.Write(bw, binary.LittleEndian, uint32(len(snap))); err != nil {
-		return fmt.Errorf("db: write count: %w", err)
-	}
-	for _, name := range s.Names() {
-		vals := snap[name]
-		if err := binary.Write(bw, binary.LittleEndian, uint32(len(name))); err != nil {
-			return fmt.Errorf("db: write name length: %w", err)
-		}
-		if _, err := bw.WriteString(name); err != nil {
-			return fmt.Errorf("db: write name: %w", err)
-		}
-		if err := binary.Write(bw, binary.LittleEndian, uint32(len(vals))); err != nil {
-			return fmt.Errorf("db: write value count: %w", err)
-		}
+	sort.Strings(names)
+	b := make([]byte, 0, size)
+	b = append(b, storeMagic...)
+	b = binary.LittleEndian.AppendUint32(b, storeVersion)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(names)))
+	for _, name := range names {
+		vals := s.data[name]
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(name)))
+		b = append(b, name...)
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(vals)))
 		for _, v := range vals {
-			if err := binary.Write(bw, binary.LittleEndian, math.Float64bits(v)); err != nil {
-				return fmt.Errorf("db: write value: %w", err)
-			}
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
 		}
 	}
-	return bw.Flush()
+	return b
 }
 
-// Load replaces the store's contents with a previously saved image.
-// Truncated or garbage bytes return an error wrapping
-// auerr.ErrCorruptStore, leaving the store's previous contents intact
-// (the image is fully decoded before anything is replaced).
+// Load replaces the store's contents with a previously saved image,
+// reading r to EOF. Truncated, garbage or trailing bytes return an error
+// wrapping auerr.ErrCorruptStore, leaving the store's previous contents
+// intact (the image is fully decoded before anything is replaced).
 func (s *Store) Load(r io.Reader) error {
-	if err := s.load(r); err != nil {
-		return fmt.Errorf("%w: %w", auerr.ErrCorruptStore, err)
+	img, err := io.ReadAll(r)
+	if err == nil {
+		var data map[string][]float64
+		if data, err = decodeImage(img); err == nil {
+			s.mu.Lock()
+			s.data = data
+			// Journaled like RestoreSnapshot, as a full snapshot record;
+			// img is canonical, so it is exactly what Save would write.
+			s.logRecord(walOpStoreSnapshot, img)
+			s.mu.Unlock()
+			return nil
+		}
 	}
-	return nil
+	return fmt.Errorf("%w: %w", auerr.ErrCorruptStore, err)
 }
 
-func (s *Store) load(r io.Reader) error {
-	br := bufio.NewReader(r)
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return fmt.Errorf("db: read magic: %w", err)
+// decodeImage parses one whole image. Every length is checked against
+// the bytes actually present before anything is allocated for it, so a
+// header's claim never costs more memory than the input it came in.
+// Only the canonical encoding is accepted — names in strictly increasing
+// order, nothing after the last value — so a decoded image re-encodes to
+// the same bytes.
+func decodeImage(b []byte) (map[string][]float64, error) {
+	if len(b) < 12 {
+		return nil, fmt.Errorf("db: image header truncated at %d bytes", len(b))
 	}
-	if string(magic) != storeMagic {
-		return fmt.Errorf("db: bad magic %q", magic)
+	if string(b[:4]) != storeMagic {
+		return nil, fmt.Errorf("db: bad magic %q", b[:4])
 	}
-	var version, count uint32
-	if err := binary.Read(br, binary.LittleEndian, &version); err != nil {
-		return fmt.Errorf("db: read version: %w", err)
+	if v := binary.LittleEndian.Uint32(b[4:]); v != storeVersion {
+		return nil, fmt.Errorf("db: unsupported version %d", v)
 	}
-	if version != storeVersion {
-		return fmt.Errorf("db: unsupported version %d", version)
-	}
-	if err := binary.Read(br, binary.LittleEndian, &count); err != nil {
-		return fmt.Errorf("db: read count: %w", err)
-	}
-	snap := make(map[string][]float64, count)
+	count := binary.LittleEndian.Uint32(b[8:])
+	b = b[12:]
+	// Every entry takes at least 8 bytes, so the hint is bounded by the
+	// input too.
+	data := make(map[string][]float64, min(int(count), len(b)/8))
+	prev := ""
 	for i := uint32(0); i < count; i++ {
-		var nameLen uint32
-		if err := binary.Read(br, binary.LittleEndian, &nameLen); err != nil {
-			return fmt.Errorf("db: read name length: %w", err)
+		if len(b) < 4 {
+			return nil, fmt.Errorf("db: name %d of %d: length truncated", i, count)
 		}
-		if nameLen > 1<<20 {
-			return fmt.Errorf("db: implausible name length %d", nameLen)
+		n := uint64(binary.LittleEndian.Uint32(b))
+		b = b[4:]
+		if n+4 > uint64(len(b)) {
+			return nil, fmt.Errorf("db: name %d of %d: %d name bytes claimed, %d left", i, count, n, len(b))
 		}
-		name := make([]byte, nameLen)
-		if _, err := io.ReadFull(br, name); err != nil {
-			return fmt.Errorf("db: read name: %w", err)
+		name := string(b[:n])
+		if i > 0 && name <= prev {
+			return nil, fmt.Errorf("db: name %q out of order after %q", name, prev)
 		}
-		var valCount uint32
-		if err := binary.Read(br, binary.LittleEndian, &valCount); err != nil {
-			return fmt.Errorf("db: read value count: %w", err)
+		prev = name
+		vc := uint64(binary.LittleEndian.Uint32(b[n:]))
+		b = b[n+4:]
+		if 8*vc > uint64(len(b)) {
+			return nil, fmt.Errorf("db: %q claims %d values, %d bytes left", name, vc, len(b))
 		}
-		// Cap the allocation before trusting the header: a corrupt count
-		// must fail cleanly instead of attempting a multi-GB make().
-		if valCount > 1<<27 {
-			return fmt.Errorf("db: implausible value count %d for %q", valCount, name)
-		}
-		vals := make([]float64, valCount)
+		vals := make([]float64, vc)
 		for j := range vals {
-			var bits uint64
-			if err := binary.Read(br, binary.LittleEndian, &bits); err != nil {
-				return fmt.Errorf("db: read value: %w", err)
-			}
-			vals[j] = math.Float64frombits(bits)
+			vals[j] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*j:]))
 		}
-		snap[string(name)] = vals
+		b = b[8*vc:]
+		data[name] = vals
 	}
-	s.RestoreSnapshot(snap)
-	return nil
+	if len(b) != 0 {
+		return nil, fmt.Errorf("db: %d trailing bytes after the image", len(b))
+	}
+	return data, nil
 }

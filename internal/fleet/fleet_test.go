@@ -75,19 +75,37 @@ func input(i int) []float64 {
 	return []float64{float64(i%7) / 7, float64(i%11) / 11}
 }
 
-// TestFleetEquivalence is the fleet's bit-identity guarantee: a
-// fleet-of-3 client, a single-server client and the embedded runtime
-// produce byte-for-byte identical predictions, at client concurrency
-// widths 1, 4 and 16. Run under -race in CI.
+// installThrough POSTs a one-model snapshot to a router, which ships it
+// to the model's ring owner.
+func installThrough(t testing.TB, routerURL string, spec core.ModelSpec, data []byte) {
+	t.Helper()
+	var img bytes.Buffer
+	if err := serve.WriteSnapshot(&img, []serve.SnapshotModel{{Name: "m", Spec: spec, Data: data}}); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(routerURL+"/v1/snapshot", "application/octet-stream", bytes.NewReader(img.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("snapshot install answered HTTP %d", resp.StatusCode)
+	}
+}
+
+// TestFleetEquivalence is the fleet's bit-identity guarantee: a client
+// of a 3-backend router, a single-server client and the embedded
+// runtime produce byte-for-byte identical predictions, at client
+// concurrency widths 1, 4 and 16. Run under -race in CI.
 func TestFleetEquivalence(t *testing.T) {
 	spec, data, ref := trainModel(t, 7)
-	install := func(s *serve.Server) {
+	_, routerURL, _, _ := routerFleet(t, 3)
+	installThrough(t, routerURL, spec, data)
+	single, _ := backendFleet(t, 1, func(s *serve.Server) {
 		if _, err := s.Install("m", spec, data); err != nil {
 			t.Fatal(err)
 		}
-	}
-	urls, _ := backendFleet(t, 3, install)
-	single, _ := backendFleet(t, 1, install)
+	})
 
 	// Ground truth from the embedded runtime, computed serially.
 	const n = 48
@@ -101,7 +119,7 @@ func TestFleetEquivalence(t *testing.T) {
 	}
 
 	clients := map[string]*serve.Client{
-		"fleet3": NewClient(urls),
+		"fleet3": serve.NewClient(routerURL),
 		"single": serve.NewClient(single[0]),
 	}
 	for _, width := range []int{1, 4, 16} {
@@ -143,77 +161,6 @@ func TestFleetEquivalence(t *testing.T) {
 	}
 }
 
-// TestFleetKillBackendZeroFailures is the self-healing guarantee on
-// the router-less (client-side ring) path: with WithRetry, killing the
-// backend that owns the model mid-run costs zero failed requests — the
-// failed attempt marks the backend down, the retry re-resolves against
-// the shrunken ring and lands on a survivor. Run under -race in CI.
-func TestFleetKillBackendZeroFailures(t *testing.T) {
-	spec, data, _ := trainModel(t, 7)
-	urls, kill := backendFleet(t, 3, func(s *serve.Server) {
-		if _, err := s.Install("m", spec, data); err != nil {
-			t.Fatal(err)
-		}
-	})
-
-	// The client and an offline ring agree on the owner (determinism is
-	// pinned by TestRingDeterminism), so the test knows which backend to
-	// assassinate.
-	ring := NewRing(0)
-	for _, u := range urls {
-		ring.Add(u)
-	}
-	owner, _ := ring.Owner("m")
-	victim := -1
-	for i, u := range urls {
-		if u == owner {
-			victim = i
-		}
-	}
-
-	c := NewClient(urls, serve.WithRetry(serve.RetryPolicy{Attempts: 4, Base: 5 * time.Millisecond}))
-	want, err := c.PredictCtx(context.Background(), "m", input(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	const width, perWorker = 8, 30
-	var failures, successes int64
-	var mu sync.Mutex
-	var once sync.Once
-	var wg sync.WaitGroup
-	for w := 0; w < width; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				if w == 0 && i == perWorker/3 {
-					once.Do(func() { kill[victim]() }) // SIGKILL-equivalent mid-run
-				}
-				out, err := c.PredictCtx(context.Background(), "m", input(0))
-				mu.Lock()
-				if err != nil {
-					failures++
-					t.Errorf("request failed after backend death: %v", err)
-				} else {
-					successes++
-					for j := range out {
-						if math.Float64bits(out[j]) != math.Float64bits(want[j]) {
-							t.Errorf("rehashed prediction differs: %v vs %v", out, want)
-							break
-						}
-					}
-				}
-				mu.Unlock()
-			}
-		}(w)
-	}
-	wg.Wait()
-	if failures != 0 {
-		t.Fatalf("%d of %d requests failed across the backend kill; want 0", failures, failures+successes)
-	}
-}
-
 // routerFleet stands up n empty backends behind a Router (fast health
 // probes) and returns the router, its base URL, backend URLs and kill
 // functions.
@@ -223,7 +170,6 @@ func routerFleet(t testing.TB, n int) (*Router, string, []string, []func()) {
 	router := NewRouter(Config{
 		Backends:       urls,
 		HealthInterval: 25 * time.Millisecond,
-		FailAfter:      2,
 	})
 	router.Start()
 	ts := httptest.NewServer(router.Handler())

@@ -17,10 +17,9 @@
 //     stay in the workers (the auserve processes); the supervisor
 //     never inspects a request.
 //
-// The fleet-aware client (NewClient) runs the same ring client-side,
-// so a deployment can start router-less — Dial("fleet:http://a,http://b")
-// — and graduate to a routed fleet by pointing Dial at the router URL,
-// with zero host-code changes either way.
+// Clients reach the fleet only through the router. Dial takes its URL
+// exactly as it takes a single auserve's, so a host graduates from one
+// server to a fleet with no code change.
 package fleet
 
 import (
@@ -40,8 +39,8 @@ const DefaultVNodes = 64
 // the key's hash. Removing a member therefore remaps only the keys
 // that member owned, and virtual nodes keep the shares balanced.
 //
-// Ring is not safe for concurrent use; callers (Router, the fleet
-// resolver) guard it with their own lock.
+// Ring is not safe for concurrent use; its caller, the Router, guards
+// it with its own lock.
 type Ring struct {
 	vnodes  int
 	keys    []uint64 // sorted point hashes
@@ -67,8 +66,8 @@ func NewRing(vnodes int) *Ring {
 // only in a short suffix — exactly the "member#i" virtual-node shape —
 // which skews ring shares several-fold; the finalizer restores uniform
 // point spread. The whole function is fixed arithmetic, stable across
-// processes and Go versions, so a client-side ring and a router ring
-// with the same member set agree on every owner.
+// processes and Go versions, so two rings with the same member set
+// agree on every owner.
 func hash64(s string) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(s))

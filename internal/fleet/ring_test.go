@@ -7,8 +7,8 @@ import (
 
 // TestRingDeterminism pins the property the whole fleet design leans
 // on: two rings built from the same member set agree on every owner —
-// regardless of insertion order — so a client-side resolver and a
-// router (separate processes) route identically.
+// regardless of insertion order — so a router restarted over the same
+// backends, or a test computing owners offline, places identically.
 func TestRingDeterminism(t *testing.T) {
 	a := NewRing(0)
 	b := NewRing(0)

@@ -17,14 +17,19 @@ import (
 	"github.com/autonomizer/autonomizer/internal/serve"
 )
 
-// Router defaults.
-const (
-	// DefaultHealthInterval is the health-probe cadence per backend.
-	DefaultHealthInterval = 250 * time.Millisecond
-	// DefaultFailAfter is how many consecutive probe failures demote a
-	// backend: one lost packet must not rehash the fleet.
-	DefaultFailAfter = 2
-)
+// DefaultHealthInterval is the health-probe cadence per backend.
+const DefaultHealthInterval = 250 * time.Millisecond
+
+// failAfter is how many consecutive probe failures demote a backend:
+// one lost packet must not rehash the fleet. A deep-health 503 — alive
+// but not fit to serve, e.g. a drifting model — counts as a failure:
+// the router drains traffic away exactly as DESIGN.md §5h promises.
+const failAfter = 2
+
+// idlePerBackend is how many idle connections the router keeps to each
+// backend, so concurrent forwards reuse connections instead of dialing
+// one per request (http.DefaultTransport keeps 2 per host).
+const idlePerBackend = 64
 
 // maxBody caps any request body the router buffers (same posture as
 // the serve package's JSON limit).
@@ -35,20 +40,9 @@ const maxBody = 256 << 20
 type Config struct {
 	// Backends are the auserve base URLs the ring shards models across.
 	Backends []string
-	// VNodes is the virtual-node count per backend (default
-	// DefaultVNodes).
-	VNodes int
 	// HealthInterval is the per-backend /healthz?deep=1 probe cadence
 	// (default 250ms).
 	HealthInterval time.Duration
-	// FailAfter is how many consecutive probe failures mark a backend
-	// down (default 2). A deep-health 503 — alive but not fit to serve,
-	// e.g. a drifting model — counts as a failure: the router drains
-	// traffic away exactly as DESIGN.md §5h promises.
-	FailAfter int
-	// HTTPClient overrides the forwarding/probing transport (default
-	// http.DefaultClient).
-	HTTPClient *http.Client
 	// Logger overrides the structured logger (default obs.Logger()).
 	Logger *slog.Logger
 	// Supervisor, when the backends are supervised children (aufleet
@@ -58,17 +52,8 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.VNodes <= 0 {
-		c.VNodes = DefaultVNodes
-	}
 	if c.HealthInterval <= 0 {
 		c.HealthInterval = DefaultHealthInterval
-	}
-	if c.FailAfter < 1 {
-		c.FailAfter = DefaultFailAfter
-	}
-	if c.HTTPClient == nil {
-		c.HTTPClient = http.DefaultClient
 	}
 	if c.Logger == nil {
 		c.Logger = obs.Logger()
@@ -120,15 +105,18 @@ type Router struct {
 // NewRouter builds a Router over the configured backends. Backends
 // start optimistically up (requests flow before the first probe
 // completes); the health loop — started by Start — demotes unreachable
-// ones within FailAfter probes.
+// ones within failAfter probes.
 func NewRouter(cfg Config) *Router {
 	cfg = cfg.withDefaults()
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.MaxIdleConns = 0 // no fleet-wide cap; the per-backend one bounds it
+	tr.MaxIdleConnsPerHost = idlePerBackend
 	rt := &Router{
 		cfg:      cfg,
-		hc:       cfg.HTTPClient,
+		hc:       &http.Client{Transport: tr},
 		log:      cfg.Logger.With("component", "fleet"),
 		start:    time.Now(),
-		ring:     NewRing(cfg.VNodes),
+		ring:     NewRing(DefaultVNodes),
 		backends: make(map[string]*backendState),
 		store:    make(map[string]serve.SnapshotModel),
 		placed:   make(map[string]string),
@@ -157,10 +145,12 @@ func (rt *Router) Start() {
 	go rt.healthLoop()
 }
 
-// Close stops the health loop and waits for it to exit.
+// Close stops the health loop, waits for it to exit and closes the
+// router's idle backend connections.
 func (rt *Router) Close() {
 	rt.stopOnce.Do(func() { close(rt.stop) })
 	<-rt.done
+	rt.hc.CloseIdleConnections()
 }
 
 // ---- membership ----
@@ -168,7 +158,7 @@ func (rt *Router) Close() {
 // healthLoop probes every backend's /healthz?deep=1 each interval. A
 // 200 marks the backend up immediately (one good probe is enough — the
 // supervisor just restarted it and its models are waiting to be
-// re-shipped); FailAfter consecutive failures mark it down. Every
+// re-shipped); failAfter consecutive failures mark it down. Every
 // transition triggers a placement pass.
 func (rt *Router) healthLoop() {
 	defer close(rt.done)
@@ -226,7 +216,7 @@ func (rt *Router) probe(url string) {
 	}
 	b.fails++
 	b.lastErr = err.Error()
-	if b.up && b.fails >= rt.cfg.FailAfter {
+	if b.up && b.fails >= failAfter {
 		rt.demoteLocked(b, err)
 		rt.mu.Unlock()
 		rt.ensurePlacement()
@@ -271,7 +261,7 @@ func (rt *Router) demoteLocked(b *backendState, cause error) {
 
 // markUnavailable is the synchronous demotion path: a forward attempt
 // hit a transport failure, so the backend is gone right now — no need
-// to wait FailAfter probe intervals to stop sending it traffic.
+// to wait failAfter probe intervals to stop sending it traffic.
 func (rt *Router) markUnavailable(url string, cause error) {
 	rt.mu.Lock()
 	b, ok := rt.backends[url]
@@ -279,7 +269,7 @@ func (rt *Router) markUnavailable(url string, cause error) {
 		rt.mu.Unlock()
 		return
 	}
-	b.fails = rt.cfg.FailAfter
+	b.fails = failAfter
 	b.lastErr = cause.Error()
 	rt.demoteLocked(b, cause)
 	rt.mu.Unlock()
@@ -390,28 +380,6 @@ func (rt *Router) Handler() http.Handler {
 	return mux
 }
 
-// writeError renders the serve-compatible uniform error body, mapping
-// the auerr class to the same statuses the backends use.
-func writeError(w http.ResponseWriter, err error) {
-	code := http.StatusInternalServerError
-	switch auerr.Class(err) {
-	case "unavailable":
-		code = http.StatusServiceUnavailable
-	case "overloaded":
-		code = http.StatusTooManyRequests
-	case "unknown_model":
-		code = http.StatusNotFound
-	case "spec_invalid", "missing_input":
-		code = http.StatusBadRequest
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(struct {
-		Error string `json:"error"`
-		Class string `json:"class,omitempty"`
-	}{Error: err.Error(), Class: auerr.Class(err)})
-}
-
 // traced continues the caller's trace from the incoming traceparent
 // (same contract as serve.Server.traced).
 func (rt *Router) traced(r *http.Request) context.Context {
@@ -449,7 +417,7 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, span, path, mo
 		owner, err := rt.owner(model)
 		if err != nil {
 			spanErr = err
-			writeError(w, err)
+			serve.WriteError(w, err)
 			return
 		}
 		// Close the placement race before forwarding: a membership change
@@ -475,7 +443,7 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, span, path, mo
 		req, err := http.NewRequestWithContext(ctx, http.MethodPost, owner+path, bytes.NewReader(body))
 		if err != nil {
 			spanErr = err
-			writeError(w, err)
+			serve.WriteError(w, err)
 			return
 		}
 		if contentType != "" {
@@ -492,7 +460,7 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, span, path, mo
 		if err != nil {
 			if ctx.Err() != nil {
 				spanErr = auerr.Canceled(ctx)
-				writeError(w, spanErr)
+				serve.WriteError(w, spanErr)
 				return
 			}
 			lastErr = auerr.E(auerr.ErrUnavailable, "fleet: backend %s unreachable: %v", owner, err)
@@ -512,7 +480,7 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, span, path, mo
 		return
 	}
 	spanErr = lastErr
-	writeError(w, lastErr)
+	serve.WriteError(w, lastErr)
 }
 
 // handlePredict sniffs the model name out of either predict encoding —
@@ -521,7 +489,7 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, span, path, mo
 func (rt *Router) handlePredict(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxBody))
 	if err != nil {
-		writeError(w, auerr.E(auerr.ErrSpecInvalid, "fleet: read predict body: %v", err))
+		serve.WriteError(w, auerr.E(auerr.ErrSpecInvalid, "fleet: read predict body: %v", err))
 		return
 	}
 	ct := r.Header.Get("Content-Type")
@@ -529,7 +497,7 @@ func (rt *Router) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if len(ct) >= len(serve.BinaryContentType) && ct[:len(serve.BinaryContentType)] == serve.BinaryContentType {
 		model, _, err = serve.DecodePredictFrame(bytes.NewReader(body))
 		if err != nil {
-			writeError(w, auerr.E(auerr.ErrSpecInvalid, "fleet: bad binary frame: %v", err))
+			serve.WriteError(w, auerr.E(auerr.ErrSpecInvalid, "fleet: bad binary frame: %v", err))
 			return
 		}
 	} else {
@@ -537,7 +505,7 @@ func (rt *Router) handlePredict(w http.ResponseWriter, r *http.Request) {
 			Model string `json:"model"`
 		}
 		if err := json.Unmarshal(body, &req); err != nil {
-			writeError(w, auerr.E(auerr.ErrSpecInvalid, "fleet: bad predict request: %v", err))
+			serve.WriteError(w, auerr.E(auerr.ErrSpecInvalid, "fleet: bad predict request: %v", err))
 			return
 		}
 		model = req.Model
@@ -551,14 +519,14 @@ func (rt *Router) handleModelJSON(path string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		body, err := io.ReadAll(io.LimitReader(r.Body, maxBody))
 		if err != nil {
-			writeError(w, auerr.E(auerr.ErrSpecInvalid, "fleet: read body: %v", err))
+			serve.WriteError(w, auerr.E(auerr.ErrSpecInvalid, "fleet: read body: %v", err))
 			return
 		}
 		var req struct {
 			Model string `json:"model"`
 		}
 		if err := json.Unmarshal(body, &req); err != nil {
-			writeError(w, auerr.E(auerr.ErrSpecInvalid, "fleet: bad request: %v", err))
+			serve.WriteError(w, auerr.E(auerr.ErrSpecInvalid, "fleet: bad request: %v", err))
 			return
 		}
 		rt.forward(w, r, "fleet"+path, path, req.Model, body, "application/json")
@@ -577,7 +545,7 @@ func (rt *Router) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	models, err := serve.ReadSnapshot(io.LimitReader(r.Body, maxBody))
 	if err != nil {
 		spanErr = auerr.E(auerr.ErrSpecInvalid, "fleet: snapshot rejected: %v", err)
-		writeError(w, spanErr)
+		serve.WriteError(w, spanErr)
 		return
 	}
 	rt.mu.Lock()
@@ -587,7 +555,7 @@ func (rt *Router) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	}
 	rt.mu.Unlock()
 	rt.ensurePlacement()
-	writeJSON(w, serve.SnapshotResponse{Models: len(models)})
+	serve.WriteJSON(w, serve.SnapshotResponse{Models: len(models)})
 }
 
 // handleReload forwards a hot reload to the model's owner. A raw
@@ -597,7 +565,7 @@ func (rt *Router) handleReload(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxBody))
 	if err != nil {
-		writeError(w, auerr.E(auerr.ErrSpecInvalid, "fleet: read reload body: %v", err))
+		serve.WriteError(w, auerr.E(auerr.ErrSpecInvalid, "fleet: read reload body: %v", err))
 		return
 	}
 	if len(body) > 0 {
@@ -634,7 +602,7 @@ func (rt *Router) handleModels(w http.ResponseWriter, r *http.Request) {
 		out = append(out, mi)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	writeJSON(w, out)
+	serve.WriteJSON(w, out)
 }
 
 func (rt *Router) backendModels(ctx context.Context, url string) ([]serve.ModelInfo, error) {
@@ -682,12 +650,4 @@ func (rt *Router) readiness() (bool, map[string]string) {
 	}
 	checks["fleet"] = fmt.Sprintf("%d/%d backends live", liveCount, len(rt.backends))
 	return true, checks
-}
-
-// writeJSON writes a 200 JSON body.
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		obs.Logger().Error("fleet: response encode failed", "err", err)
-	}
 }

@@ -9,6 +9,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"github.com/autonomizer/autonomizer/internal/serve"
 )
 
 // The fleet posture surface: GET /statusz on the router renders one
@@ -37,7 +39,6 @@ type Statusz struct {
 	Ready         bool    `json:"ready"`
 	Backends      int     `json:"backends"`
 	LiveBackends  int     `json:"live_backends"`
-	VNodes        int     `json:"vnodes"`
 
 	ModelsInstalled int               `json:"models_installed"`
 	Placements      map[string]string `json:"placements"`
@@ -59,7 +60,6 @@ func (rt *Router) Status(ctx context.Context) Statusz {
 		UptimeSeconds:   time.Since(rt.start).Seconds(),
 		Ready:           ready,
 		Backends:        len(rt.backends),
-		VNodes:          rt.cfg.VNodes,
 		ModelsInstalled: len(rt.store),
 		Placements:      make(map[string]string, len(rt.placed)),
 		Checks:          checks,
@@ -143,5 +143,5 @@ func (rt *Router) backendStatusz(ctx context.Context, url string) (json.RawMessa
 
 // handleStatusz renders the aggregated fleet status document.
 func (rt *Router) handleStatusz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, rt.Status(r.Context()))
+	serve.WriteJSON(w, rt.Status(r.Context()))
 }

@@ -36,43 +36,17 @@ import (
 // same auerr sentinel, so errors.Is dispatch works identically against
 // a Runtime or a Client.
 //
-// Endpoint selection is pluggable: by default every request goes to
-// the base URL NewClient was given, but a Resolver (see WithResolver,
-// used by the fleet-aware client internal/fleet builds) can pick the
-// backend per model — the mechanism behind autonomizer.Dial's
-// "fleet:" targets, where models are consistent-hashed across N
-// backends and a dead backend's models rehash to the survivors.
+// Every request goes to the base URL NewClient was given: one auserve,
+// or an aufleet router, whose surface is the same. A sharded fleet is
+// reached through its router, which places models on backends and
+// re-places them when one dies.
 type Client struct {
-	base     string
-	hc       *http.Client
-	store    *db.Store
-	binary   bool
-	resolver Resolver
-	retry    RetryPolicy
+	base   string
+	hc     *http.Client
+	store  *db.Store
+	binary bool
+	retry  RetryPolicy
 }
-
-// Resolver picks the backend base URL that serves a model. The
-// default resolver returns the client's fixed base URL; the fleet
-// client substitutes a consistent-hash ring over N backends. Endpoint
-// is called once per attempt (so a retry after a backend death
-// re-resolves against the updated ring), and Report feeds every
-// attempt's outcome back so the resolver can mark a backend down on
-// transport failure. Implementations must be safe for concurrent use.
-type Resolver interface {
-	// Endpoint returns the base URL for one model's request. model is
-	// "" for requests not tied to a model (GET /v1/models).
-	Endpoint(model string) (string, error)
-	// Report records the outcome of one attempt against endpoint (err
-	// nil on success). Called after every attempt, before any retry.
-	Report(endpoint string, err error)
-}
-
-// staticResolver is the single-server Resolver: every model lives at
-// the one base URL.
-type staticResolver string
-
-func (r staticResolver) Endpoint(string) (string, error) { return string(r), nil }
-func (r staticResolver) Report(string, error)            {}
 
 // RetryPolicy tunes WithRetry: jittered exponential backoff around
 // transient serving failures (a shed request, a dead backend). The
@@ -137,17 +111,11 @@ func WithJSONPredict() ClientOption {
 // (ErrOverloaded/429) and dead or missing backends (ErrUnavailable,
 // transport errors) — with jittered exponential backoff under p.
 // Non-transient failures (unknown model, malformed input) never
-// retry, and a canceled context stops the loop immediately. Combined
-// with a fleet Resolver each retry re-resolves the owner, so a
-// request caught by a backend death lands on the rehashed owner.
+// retry, and a canceled context stops the loop immediately. Against
+// a fleet router a backend death needs no retry: the router fails the
+// request over to the model's next owner itself.
 func WithRetry(p RetryPolicy) ClientOption {
 	return func(c *Client) { c.retry = p.withDefaults() }
-}
-
-// WithResolver substitutes the endpoint resolver (see Resolver). The
-// fleet client uses this to consistent-hash models across backends.
-func WithResolver(r Resolver) ClientOption {
-	return func(c *Client) { c.resolver = r }
 }
 
 // NewClient returns a Client talking to an auserve (or embedded
@@ -159,9 +127,6 @@ func NewClient(baseURL string, opts ...ClientOption) *Client {
 	c := &Client{base: baseURL, hc: http.DefaultClient, store: db.New(), binary: true}
 	for _, o := range opts {
 		o(c)
-	}
-	if c.resolver == nil {
-		c.resolver = staticResolver(c.base)
 	}
 	return c
 }
@@ -182,18 +147,15 @@ func live(ctx context.Context) error {
 }
 
 // retryable reports whether an error is transient serving trouble —
-// worth a backoff and another attempt (against a possibly re-resolved
-// backend) rather than a hard failure.
+// worth a backoff and another attempt rather than a hard failure.
 func retryable(err error) bool {
 	return errors.Is(err, auerr.ErrOverloaded) || errors.Is(err, auerr.ErrUnavailable)
 }
 
-// do runs one remote operation through the resolver/retry machinery:
-// resolve the model's endpoint, attempt, report the outcome, and — for
-// transient failures under a WithRetry policy — back off and go again.
-// Every attempt re-resolves, so a fleet resolver that just marked a
-// backend down steers the retry to the model's new owner.
-func (c *Client) do(ctx context.Context, model string, attempt func(base string) error) error {
+// do runs one remote operation under the retry policy: attempt, and —
+// for transient failures under a WithRetry policy — back off and go
+// again.
+func (c *Client) do(ctx context.Context, attempt func() error) error {
 	pol := c.retry
 	caller := ctx
 	if pol.Budget > 0 {
@@ -203,12 +165,7 @@ func (c *Client) do(ctx context.Context, model string, attempt func(base string)
 	}
 	var err error
 	for try := 0; ; try++ {
-		var base string
-		base, err = c.resolver.Endpoint(model)
-		if err == nil {
-			err = attempt(base)
-			c.resolver.Report(base, err)
-		}
+		err = attempt()
 		if err == nil || try+1 >= pol.Attempts || !retryable(err) {
 			return err
 		}
@@ -313,15 +270,15 @@ func (c *Client) PredictCtx(ctx context.Context, mdName string, in []float64) (o
 	ctx, sp := obs.StartSpan(ctx, "client.predict")
 	defer func() { sp.End(err) }()
 	if c.binary {
-		err = c.do(ctx, mdName, func(base string) error {
+		err = c.do(ctx, func() error {
 			var aerr error
-			out, aerr = c.predictBinary(ctx, base, mdName, in)
+			out, aerr = c.predictBinary(ctx, mdName, in)
 			return aerr
 		})
 		return out, err
 	}
 	var resp PredictResponse
-	if err := c.postJSON(ctx, mdName, "/v1/predict", PredictRequest{Model: mdName, Input: in}, &resp); err != nil {
+	if err := c.postJSON(ctx, "/v1/predict", PredictRequest{Model: mdName, Input: in}, &resp); err != nil {
 		return nil, err
 	}
 	return resp.Output, nil
@@ -385,7 +342,7 @@ func (c *Client) NNRLCtx(ctx context.Context, mdName, extName string, reward flo
 	ctx, sp := obs.StartSpan(ctx, "client.act")
 	defer func() { sp.End(err) }()
 	var resp ActResponse
-	if err := c.postJSON(ctx, mdName, "/v1/act", ActRequest{Model: mdName, State: state}, &resp); err != nil {
+	if err := c.postJSON(ctx, "/v1/act", ActRequest{Model: mdName, State: state}, &resp); err != nil {
 		return err
 	}
 	c.store.Put(wbName, []float64{float64(resp.Action)})
@@ -398,12 +355,11 @@ func (c *Client) NNRL(mdName, extName string, reward float64, terminal bool, wbN
 	return c.NNRLCtx(context.Background(), mdName, extName, reward, terminal, wbName)
 }
 
-// Models lists the models the server is currently serving. Against a
-// fleet resolver this reports one healthy backend's view; a fleet
-// router's GET /v1/models aggregates the whole fleet.
+// Models lists the models the server is currently serving. A fleet
+// router answers with the union of its live backends' models.
 func (c *Client) Models(ctx context.Context) (out []ModelInfo, err error) {
-	err = c.do(ctx, "", func(base string) error {
-		req, rerr := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/models", nil)
+	err = c.do(ctx, func() error {
+		req, rerr := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/models", nil)
 		if rerr != nil {
 			return rerr
 		}
@@ -435,7 +391,7 @@ func (c *Client) ObserveCtx(ctx context.Context, mdName string, predicted, obser
 		return obs.DriftStatus{}, err
 	}
 	var resp ObserveResponse
-	if err := c.postJSON(ctx, mdName, "/v1/observe", ObserveRequest{
+	if err := c.postJSON(ctx, "/v1/observe", ObserveRequest{
 		Model: mdName, Predicted: predicted, Observed: observed,
 	}, &resp); err != nil {
 		return obs.DriftStatus{}, err
@@ -455,9 +411,9 @@ func (c *Client) Observe(mdName string, predicted, observed []float64) (obs.Drif
 // source (data nil) or from the given SaveModel image. It returns the
 // new version.
 func (c *Client) Reload(ctx context.Context, mdName string, data []byte) (version int, err error) {
-	err = c.do(ctx, mdName, func(base string) error {
+	err = c.do(ctx, func() error {
 		req, rerr := http.NewRequestWithContext(ctx, http.MethodPost,
-			base+"/models/"+mdName+"/reload", bytes.NewReader(data))
+			c.base+"/models/"+mdName+"/reload", bytes.NewReader(data))
 		if rerr != nil {
 			return rerr
 		}
@@ -479,45 +435,11 @@ func (c *Client) Reload(ctx context.Context, mdName string, data []byte) (versio
 	return version, err
 }
 
-// InstallSnapshot installs models over the network (POST /v1/snapshot).
-// Each model ships as its own one-model AUSN image resolved through the
-// endpoint resolver, so against a fleet every model lands on the
-// backend the hash ring assigns it to.
-func (c *Client) InstallSnapshot(ctx context.Context, models []SnapshotModel) error {
-	for _, m := range models {
-		var img bytes.Buffer
-		if err := WriteSnapshot(&img, []SnapshotModel{m}); err != nil {
-			return err
-		}
-		err := c.do(ctx, m.Name, func(base string) error {
-			req, rerr := http.NewRequestWithContext(ctx, http.MethodPost,
-				base+"/v1/snapshot", bytes.NewReader(img.Bytes()))
-			if rerr != nil {
-				return rerr
-			}
-			resp, rerr := c.hc.Do(req)
-			if rerr != nil {
-				return c.transportError(ctx, rerr)
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				return errorFromResponse(resp)
-			}
-			io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
-			return nil
-		})
-		if err != nil {
-			return fmt.Errorf("serve: install %q: %w", m.Name, err)
-		}
-	}
-	return nil
-}
-
 // ---- transport plumbing ----
 
-func (c *Client) predictBinary(ctx context.Context, base, mdName string, in []float64) ([]float64, error) {
+func (c *Client) predictBinary(ctx context.Context, mdName string, in []float64) ([]float64, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		base+"/v1/predict", bytes.NewReader(encodePredictFrame(mdName, in)))
+		c.base+"/v1/predict", bytes.NewReader(encodePredictFrame(mdName, in)))
 	if err != nil {
 		return nil, err
 	}
@@ -538,13 +460,13 @@ func (c *Client) predictBinary(ctx context.Context, base, mdName string, in []fl
 	return out, nil
 }
 
-func (c *Client) postJSON(ctx context.Context, model, path string, body, out any) error {
+func (c *Client) postJSON(ctx context.Context, path string, body, out any) error {
 	payload, err := json.Marshal(body)
 	if err != nil {
 		return err
 	}
-	return c.do(ctx, model, func(base string) error {
-		req, rerr := http.NewRequestWithContext(ctx, http.MethodPost, base+path, bytes.NewReader(payload))
+	return c.do(ctx, func() error {
+		req, rerr := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(payload))
 		if rerr != nil {
 			return rerr
 		}
@@ -570,7 +492,7 @@ func (c *Client) postJSON(ctx context.Context, model, path string, body, out any
 // typed ErrCanceled an in-process primitive would, and one that died
 // because the backend did (connection refused/reset — the process is
 // gone or never there) reports ErrUnavailable, the transient class the
-// retry policy and the fleet resolver act on.
+// retry policy acts on.
 func (c *Client) transportError(ctx context.Context, err error) error {
 	if ctx != nil && ctx.Err() != nil {
 		return auerr.Canceled(ctx)

@@ -10,6 +10,7 @@ import (
 
 	"github.com/autonomizer/autonomizer/internal/auerr"
 	"github.com/autonomizer/autonomizer/internal/core"
+	"github.com/autonomizer/autonomizer/internal/db"
 )
 
 // allocDuring reports the bytes the heap handed out while f ran.
@@ -40,6 +41,21 @@ func TestDecodersBoundAllocationByInput(t *testing.T) {
 	}
 	if err == nil {
 		t.Error("truncated predict frame decoded without error")
+	}
+
+	// 21 bytes: a store image whose one name claims 2^27 values — the
+	// image format a client's store saves and the WAL replays.
+	store := []byte("AUDB")
+	for _, v := range []uint32{1, 1, 1} { // version, name count, name length
+		store = binary.LittleEndian.AppendUint32(store, v)
+	}
+	store = append(store, 'x')
+	store = binary.LittleEndian.AppendUint32(store, 1<<27)
+	if got := allocDuring(func() { err = db.New().Load(bytes.NewReader(store)) }); got >= budget {
+		t.Errorf("21-byte store image allocated %d bytes, want < %d", got, budget)
+	}
+	if !errors.Is(err, auerr.ErrCorruptStore) {
+		t.Errorf("truncated store image: %v, want ErrCorruptStore", err)
 	}
 
 	// Snapshots claiming the 2^16-model cap, and one model whose weights

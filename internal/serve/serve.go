@@ -268,17 +268,19 @@ func (s *Server) traced(r *http.Request) context.Context {
 	return ctx
 }
 
-// writeJSON writes a 200 JSON body.
-func writeJSON(w http.ResponseWriter, v any) {
+// WriteJSON writes a 200 JSON body.
+func WriteJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	if err := json.NewEncoder(w).Encode(v); err != nil {
 		obs.Logger().Error("serve: response encode failed", "err", err)
 	}
 }
 
-// writeError renders the uniform error body with the auerr class, at
-// the status statusFor picks.
-func writeError(w http.ResponseWriter, err error) int {
+// WriteError renders the uniform error body with the auerr class, at
+// the status statusFor picks, and returns that status. The fleet router
+// answers its own failures through it too, so a class maps to one
+// status fleet-wide.
+func WriteError(w http.ResponseWriter, err error) int {
 	code := statusFor(err)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
@@ -322,14 +324,14 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		model, in, err = decodePredictFrame(r.Body)
 		if err != nil {
 			spanErr = auerr.E(auerr.ErrSpecInvalid, "serve: bad binary frame: %v", err)
-			code = writeError(w, spanErr)
+			code = WriteError(w, spanErr)
 			return
 		}
 	} else {
 		var req PredictRequest
 		if err := json.NewDecoder(io.LimitReader(r.Body, maxJSONBody)).Decode(&req); err != nil {
 			spanErr = auerr.E(auerr.ErrSpecInvalid, "serve: bad predict request: %v", err)
-			code = writeError(w, spanErr)
+			code = WriteError(w, spanErr)
 			return
 		}
 		model, in = req.Model, req.Input
@@ -337,7 +339,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	out, err := s.submit(ctx, model, in)
 	if err != nil {
 		spanErr = err
-		code = writeError(w, err)
+		code = WriteError(w, err)
 		return
 	}
 	enc := s.met.stageTimer(stageResponseEncode)
@@ -349,7 +351,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		enc.Stop()
 		return
 	}
-	writeJSON(w, PredictResponse{Output: out})
+	WriteJSON(w, PredictResponse{Output: out})
 	enc.Stop()
 }
 
@@ -363,19 +365,19 @@ func (s *Server) handleAct(w http.ResponseWriter, r *http.Request) {
 	var req ActRequest
 	if err := json.NewDecoder(io.LimitReader(r.Body, maxJSONBody)).Decode(&req); err != nil {
 		spanErr = auerr.E(auerr.ErrSpecInvalid, "serve: bad act request: %v", err)
-		code = writeError(w, spanErr)
+		code = WriteError(w, spanErr)
 		return
 	}
 	q, err := s.submit(ctx, req.Model, req.State)
 	if err != nil {
 		spanErr = err
-		code = writeError(w, err)
+		code = WriteError(w, err)
 		return
 	}
 	// Greedy argmax over the Q-vector — Test-mode au_NN's plan argmax,
 	// so remote NNRL picks exactly the action the embedded runtime would.
 	enc := s.met.stageTimer(stageResponseEncode)
-	writeJSON(w, ActResponse{Action: stats.ArgMax(q)})
+	WriteJSON(w, ActResponse{Action: stats.ArgMax(q)})
 	enc.Stop()
 }
 
@@ -394,21 +396,21 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	var req ObserveRequest
 	if err := json.NewDecoder(io.LimitReader(r.Body, maxJSONBody)).Decode(&req); err != nil {
 		spanErr = auerr.E(auerr.ErrSpecInvalid, "serve: bad observe request: %v", err)
-		code = writeError(w, spanErr)
+		code = WriteError(w, spanErr)
 		return
 	}
 	if _, ok := s.model(req.Model); !ok {
 		spanErr = auerr.E(auerr.ErrUnknownModel, "serve: unknown model %q", req.Model)
-		code = writeError(w, spanErr)
+		code = WriteError(w, spanErr)
 		return
 	}
 	st, err := s.drift.Record(req.Model, req.Predicted, req.Observed)
 	if err != nil {
 		spanErr = auerr.E(auerr.ErrSpecInvalid, "serve: %v", err)
-		code = writeError(w, spanErr)
+		code = WriteError(w, spanErr)
 		return
 	}
-	writeJSON(w, ObserveResponse{
+	WriteJSON(w, ObserveResponse{
 		Model: st.Model, Loss: st.Loss, Samples: st.Samples,
 		Threshold: st.Threshold, Healthy: st.Healthy,
 	})
@@ -432,16 +434,16 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 			err = auerr.E(auerr.ErrSpecInvalid, "serve: snapshot install rejected: %v", err)
 		}
 		spanErr = err
-		code = writeError(w, err)
+		code = WriteError(w, err)
 		return
 	}
-	writeJSON(w, SnapshotResponse{Models: n})
+	WriteJSON(w, SnapshotResponse{Models: n})
 }
 
 func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 	tm := s.met.timer("models")
 	defer s.met.request("models", http.StatusOK, tm)
-	writeJSON(w, s.Models())
+	WriteJSON(w, s.Models())
 }
 
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
@@ -455,7 +457,7 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxJSONBody))
 	if err != nil {
 		spanErr = fmt.Errorf("serve: read reload body: %w", err)
-		code = writeError(w, spanErr)
+		code = WriteError(w, spanErr)
 		return
 	}
 	var spec core.ModelSpec
@@ -467,7 +469,7 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		if !ok {
 			spanErr = auerr.E(auerr.ErrUnknownModel,
 				"serve: cannot reload unknown model %q from raw weights (no spec on file)", name)
-			code = writeError(w, spanErr)
+			code = WriteError(w, spanErr)
 			return
 		}
 		spec = m.eng.Load().spec
@@ -475,13 +477,13 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		spec, data, err = s.cfg.Source.Snapshot(name)
 		if err != nil {
 			spanErr = err
-			code = writeError(w, err)
+			code = WriteError(w, err)
 			return
 		}
 	default:
 		spanErr = auerr.E(auerr.ErrSpecInvalid,
 			"serve: reload of %q needs a weight image in the body (no snapshot source configured)", name)
-		code = writeError(w, spanErr)
+		code = WriteError(w, spanErr)
 		return
 	}
 	version, err := s.Install(name, spec, data)
@@ -490,8 +492,8 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 			err = auerr.E(auerr.ErrSpecInvalid, "serve: reload of %q rejected: %v", name, err)
 		}
 		spanErr = err
-		code = writeError(w, err)
+		code = WriteError(w, err)
 		return
 	}
-	writeJSON(w, ReloadResponse{Model: name, Version: version})
+	WriteJSON(w, ReloadResponse{Model: name, Version: version})
 }

@@ -146,5 +146,5 @@ func (s *Server) Ready() error {
 func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 	tm := s.met.timer("statusz")
 	defer s.met.request("statusz", http.StatusOK, tm)
-	writeJSON(w, s.Status())
+	WriteJSON(w, s.Status())
 }

@@ -12,20 +12,18 @@ import (
 // Querier is the query-side surface of an autonomized execution: the
 // primitives a host calls on every iteration of its decision loop
 // (au_extract → au_serialize → au_NN → au_write_back), in both their
-// plain and context-aware forms. Three implementations ship with the
-// framework, all reachable through Dial:
+// plain and context-aware forms. Two implementations ship with the
+// framework, both reachable through Dial:
 //
 //   - *Runtime — the embedded engine; queries run in-process.
 //   - *Client — the remote engine; Predict/NN/NNRL/Observe cross the
 //     network to an auserve instance, whose micro-batcher coalesces
 //     them with other clients' traffic, while the store-side
-//     primitives stay local.
-//   - the fleet-aware *Client Dial builds for "fleet:" targets — the
-//     same remote engine with model names consistent-hashed across N
-//     backends and dead backends rehashed away.
+//     primitives stay local. Pointed at an aufleet router's URL, the
+//     same *Client reaches a sharded fleet.
 //
 // Hosts written against Querier switch between them with one
-// constructor (or one Dial target string) change, and all honor the
+// constructor (or one Dial target string) change, and both honor the
 // same typed-error contract (errors.Is against ErrUnknownModel,
 // ErrMissingInput, ErrOverloaded, ErrUnavailable, ErrCanceled, ...).
 // Train-only operations (Config, Fit, Checkpoint, Restore, Save) are
@@ -82,7 +80,7 @@ var (
 )
 
 // Client is a remote Querier talking to an auserve model server (or,
-// through a fleet Resolver, to a sharded fleet of them). See the serve
+// through an aufleet router's URL, to a sharded fleet of them). See the serve
 // package for the wire protocol and batching contract.
 type Client = serve.Client
 
@@ -114,11 +112,9 @@ func WithJSONPredict() ClientOption { return serve.WithJSONPredict() }
 
 // WithRetry makes a remote Querier retry transient failures — shed
 // requests (ErrOverloaded) and dead or missing backends
-// (ErrUnavailable) — with jittered exponential backoff under p. With
-// a fleet target every retry re-resolves the model's owner, so a
-// request caught by a backend death lands on the rehashed owner:
+// (ErrUnavailable) — with jittered exponential backoff under p:
 //
-//	q, _ := autonomizer.Dial("fleet:http://a:8080,http://b:8080",
+//	q, _ := autonomizer.Dial("http://router:8090",
 //		autonomizer.WithRetry(autonomizer.RetryPolicy{}))
 func WithRetry(p RetryPolicy) ClientOption { return serve.WithRetry(p) }
 
