@@ -361,3 +361,35 @@ func TestRouterSurvivesBackendDeath(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 }
+
+// TestRouterCloseWithoutStart: Close on a router whose health loop was
+// never started returns promptly, a second Close is harmless, and a
+// Start after Close launches nothing. A second Start on a live router
+// is a no-op, so one Close still stops it.
+func TestRouterCloseWithoutStart(t *testing.T) {
+	within := func(name string, f func()) {
+		t.Helper()
+		ch := make(chan struct{})
+		go func() { f(); close(ch) }()
+		select {
+		case <-ch:
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%s still blocked after 2s", name)
+		}
+	}
+
+	rt := NewRouter(Config{Backends: []string{"http://127.0.0.1:1"}})
+	within("Close on an unstarted router", rt.Close)
+	within("second Close", rt.Close)
+	rt.Start()
+	select {
+	case <-rt.done:
+	default:
+		t.Fatal("done reopened by Start after Close")
+	}
+
+	live := NewRouter(Config{Backends: []string{"http://127.0.0.1:1"}, HealthInterval: time.Millisecond})
+	live.Start()
+	live.Start()
+	within("Close after a double Start", live.Close)
+}

@@ -97,9 +97,10 @@ type Router struct {
 	store    map[string]serve.SnapshotModel // installed model images
 	placed   map[string]string              // model → backend last shipped to
 
-	stop     chan struct{}
-	stopOnce sync.Once
-	done     chan struct{}
+	startOnce sync.Once
+	stop      chan struct{}
+	stopOnce  sync.Once
+	done      chan struct{}
 }
 
 // NewRouter builds a Router over the configured backends. Backends
@@ -140,15 +141,19 @@ func NewRouter(cfg Config) *Router {
 	return rt
 }
 
-// Start launches the health loop. Call Close to stop it.
+// Start launches the health loop. Call Close to stop it. A second
+// Start, or a Start after Close, is a no-op.
 func (rt *Router) Start() {
-	go rt.healthLoop()
+	rt.startOnce.Do(func() { go rt.healthLoop() })
 }
 
 // Close stops the health loop, waits for it to exit and closes the
-// router's idle backend connections.
+// router's idle backend connections. It is safe without Start: an
+// unstarted router claims the start slot, so no loop can launch later,
+// and has nothing to wait for.
 func (rt *Router) Close() {
 	rt.stopOnce.Do(func() { close(rt.stop) })
+	rt.startOnce.Do(func() { close(rt.done) })
 	<-rt.done
 	rt.hc.CloseIdleConnections()
 }

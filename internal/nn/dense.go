@@ -29,6 +29,14 @@ type Dense struct {
 	lastIn *tensor.Tensor
 	out    *tensor.Tensor
 	gradIn *tensor.Tensor
+
+	// pack is the layer-owned lane-packed copy of weights and bias that
+	// Forward reads while packed is set. Network.TrainBatch repacks it in
+	// place at the start of every minibatch and clears packed before it
+	// returns, so the pack is never read after the optimizer moves the
+	// weights it copied.
+	pack   *tensor.PackedDense
+	packed bool
 }
 
 // NewDense constructs a fully connected layer with He-initialized weights
@@ -53,26 +61,48 @@ func NewDense(inSize, outSize int, rng *stats.RNG) *Dense {
 }
 
 // Forward computes W·in + b. The input must be a vector of length InSize
-// (any shape with that many elements is accepted and flattened).
+// (any shape with that many elements is accepted and flattened). Every
+// output is Dot(row, in) + b[o]; inside a training minibatch the packed
+// gemv computes the same fold over the minibatch's pack.
 func (d *Dense) Forward(in *tensor.Tensor) *tensor.Tensor {
 	if in.Size() != d.InSize {
 		auerr.Failf("nn: Dense expects %d inputs, got %d", d.InSize, in.Size())
 	}
 	d.lastIn = tensor.ViewOf(d.lastIn, in.Data(), in.Size())
 	d.out = tensor.Reuse(d.out, d.OutSize)
-	out := d.out
-	w := d.weights.Data()
+	out := d.out.Data()
 	x := d.lastIn.Data()
-	bd := d.bias.Data()
-	for o := 0; o < d.OutSize; o++ {
-		row := w[o*d.InSize : (o+1)*d.InSize]
-		out.Data()[o] = tensor.Dot(row, x) + bd[o]
+	if d.packed {
+		d.pack.Forward(out, x)
+		return d.out
 	}
-	return out
+	w := d.weights.Data()
+	bd := d.bias.Data()
+	for o := range out {
+		out[o] = tensor.Dot(w[o*d.InSize:(o+1)*d.InSize], x) + bd[o]
+	}
+	return d.out
 }
 
+// packWeights snapshots the current weights into the layer's pack,
+// reusing its buffers, and routes Forward through it until
+// unpackWeights.
+func (d *Dense) packWeights() {
+	if d.pack == nil {
+		d.pack = tensor.PackDense(d.weights, d.bias)
+	} else {
+		d.pack.Repack(d.weights, d.bias)
+	}
+	d.packed = true
+}
+
+// unpackWeights returns Forward to the unpacked weights.
+func (d *Dense) unpackWeights() { d.packed = false }
+
 // Backward accumulates dL/dW = gradOut ⊗ in and dL/db = gradOut, and
-// returns dL/din = Wᵀ·gradOut.
+// returns dL/din = Wᵀ·gradOut. Both products are row AXPYs: gradW's row
+// o gains gradOut[o]·in, and dL/din folds gradOut[o]·W[o,:] in
+// ascending o, skipping the rows whose gradOut[o] is ±0.
 func (d *Dense) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	if gradOut.Size() != d.OutSize {
 		auerr.Failf("nn: Dense backward expects %d grads, got %d", d.OutSize, gradOut.Size())
@@ -81,32 +111,15 @@ func (d *Dense) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 		auerr.Failf("nn: Dense Backward before Forward")
 	}
 	g := gradOut.Data()
-	x := d.lastIn.Data()
-	gw := d.gradW.Data()
-	for o := 0; o < d.OutSize; o++ {
-		go_ := g[o]
-		d.gradB.Data()[o] += go_
-		row := gw[o*d.InSize : (o+1)*d.InSize]
-		for i := 0; i < d.InSize; i++ {
-			row[i] += go_ * x[i]
-		}
+	gb := d.gradB.Data()
+	for o, v := range g {
+		gb[o] += v
 	}
+	tensor.RowAXPY(d.gradW.Data(), g, d.lastIn.Data(), d.InSize, d.InSize, 0, false)
 	d.gradIn = tensor.Reuse(d.gradIn, d.InSize)
-	gradIn := d.gradIn
-	gradIn.Fill(0)
-	w := d.weights.Data()
-	gi := gradIn.Data()
-	for o := 0; o < d.OutSize; o++ {
-		go_ := g[o]
-		if go_ == 0 {
-			continue
-		}
-		row := w[o*d.InSize : (o+1)*d.InSize]
-		for i := 0; i < d.InSize; i++ {
-			gi[i] += go_ * row[i]
-		}
-	}
-	return gradIn
+	d.gradIn.Fill(0)
+	tensor.RowAXPY(d.gradIn.Data(), g, d.weights.Data(), d.InSize, 0, d.InSize, true)
+	return d.gradIn
 }
 
 // Params returns the weight and bias tensors.

@@ -172,7 +172,10 @@ func (n *Network) lossGrad(pred, target *tensor.Tensor) *tensor.Tensor {
 // averaged, clipped and stepped once. Parallelism lives inside the
 // kernels (tensor.ConvKernel shards each conv op with fixed chunk
 // geometry), so the updated weights are bit-identical at any worker
-// width.
+// width. The weights stay fixed until the step, so every Dense layer
+// lane-packs them once up front and runs the batch's forwards through
+// the packed gemv (bit-identical to its Dot fold); the packs are
+// dropped before TrainBatch returns.
 func (n *Network) TrainBatch(ins, targets []*tensor.Tensor) float64 {
 	if len(ins) != len(targets) {
 		auerr.Failf("nn: TrainBatch input/target count mismatch")
@@ -184,6 +187,8 @@ func (n *Network) TrainBatch(ins, targets []*tensor.Tensor) float64 {
 		auerr.Failf("nn: TrainBatch without an optimizer; call UseAdam/UseSGD first")
 	}
 	n.ZeroGrads()
+	n.packDense(true)
+	defer n.packDense(false)
 	total := 0.0
 	for i, in := range ins {
 		pred := n.Forward(in)
@@ -198,6 +203,20 @@ func (n *Network) TrainBatch(ins, targets []*tensor.Tensor) float64 {
 	ClipGradients(n.Grads(), 10)
 	n.opt.Step(n.Grads())
 	return total / float64(len(ins))
+}
+
+// packDense switches every Dense layer's Forward onto a fresh pack of its
+// current weights (on) or back to the weights themselves (off).
+func (n *Network) packDense(on bool) {
+	for _, l := range n.layers {
+		if d, ok := l.(*Dense); ok {
+			if on {
+				d.packWeights()
+			} else {
+				d.unpackWeights()
+			}
+		}
+	}
 }
 
 // String summarizes the architecture, e.g.

@@ -104,7 +104,9 @@ func NewAdam(params []*tensor.Tensor, lr float64) *Adam {
 	return a
 }
 
-// Step applies one bias-corrected Adam update.
+// Step applies one bias-corrected Adam update, elementwise through
+// tensor.AdamStep (m = β₁m + (1−β₁)g, v = β₂v + (1−β₂)g², then
+// p −= lr·m̂ / (√v̂ + ε) with m̂ = m/c₁ and v̂ = v/c₂).
 func (a *Adam) Step(grads []*tensor.Tensor) {
 	if len(grads) != len(a.params) {
 		auerr.Failf("nn: Adam gradient count mismatch")
@@ -114,17 +116,8 @@ func (a *Adam) Step(grads []*tensor.Tensor) {
 	c1 := 1 - math.Pow(a.Beta1, float64(a.t))
 	c2 := 1 - math.Pow(a.Beta2, float64(a.t))
 	for i, p := range a.params {
-		g := grads[i].Data()
-		m := a.m[i].Data()
-		v := a.v[i].Data()
-		pd := p.Data()
-		for j := range pd {
-			m[j] = a.Beta1*m[j] + (1-a.Beta1)*g[j]
-			v[j] = a.Beta2*v[j] + (1-a.Beta2)*g[j]*g[j]
-			mhat := m[j] / c1
-			vhat := v[j] / c2
-			pd[j] -= a.LR * mhat / (math.Sqrt(vhat) + a.Eps)
-		}
+		tensor.AdamStep(p.Data(), grads[i].Data(), a.m[i].Data(), a.v[i].Data(),
+			a.Beta1, a.Beta2, a.LR, c1, c2, a.Eps)
 	}
 }
 

@@ -3,15 +3,17 @@
 // math.FMA would cost the 4×4 register tile most of its win on the
 // default (GOAMD64=v1) build, so the feature check runs exactly once, at
 // package init, and selects a kernelImpl — a table binding the packed
-// matmul micro-kernel (GEBP), the lane-blocked dense forward (GEMV) and
-// their packing geometry. amd64 hosts with FMA+AVX2 get hand-written
-// assembly kernels with a wider 4×8 tile; every other host gets the
-// portable Go kernels.
+// matmul micro-kernel (GEBP), the lane-blocked dense forward (GEMV),
+// their packing geometry, and the two training-step kernels (the row
+// AXPY of the Dense backward and the Adam update). amd64 hosts with
+// FMA+AVX2 get hand-written assembly kernels with a wider 4×8 tile;
+// every other host gets the portable Go kernels.
 //
 // Determinism contract: every implementation folds each output element's
 // terms in ascending-k order with the exact operations of the reference
 // kernels (math.FMA for the GEBP tile, separate multiply-then-add for
-// the Dot-based dense forward), so results are bit-identical across
+// the Dot-based dense forward and the row AXPY, Go's scalar operation
+// order for Adam), so results are bit-identical across
 // implementations, builds and worker counts. Packing geometry (panel
 // width nr, dense lane count) varies per implementation, but geometry
 // only decides which elements are computed together — never the
@@ -54,6 +56,17 @@ type kernelImpl struct {
 	// Each output folds ascending-k with separate multiply and add — the
 	// exact semantics of Dot(row, x) + bias[o].
 	gemv func(dst, packedW, x, bias []float64, blocks, k int)
+
+	// rowAXPY folds dst_o += c[o]·src_o over len(c) > 0 rows of n > 0
+	// elements, ascending o, rows dstStride (srcStride) doubles apart
+	// inside dst (src); each element is one multiply then one add. With
+	// skipZero a ±0 coefficient skips its row, a NaN one never does.
+	// Both Dense backward products run it (RowAXPY, train.go).
+	rowAXPY func(dst, c, src []float64, n, dstStride, srcStride int, skipZero bool)
+
+	// adam applies the elementwise Adam update to len(p) > 0 parameters
+	// in AdamStep's operation order (train.go).
+	adam func(p, g, m, v []float64, beta1, beta2, lr, c1, c2, eps float64)
 }
 
 // genericImpl is the portable Go implementation, available everywhere:
@@ -64,6 +77,8 @@ var genericImpl = &kernelImpl{
 	gebpTile: matMulPackedTile,
 	lanes:    4,
 	gemv:     gemvGeneric,
+	rowAXPY:  rowAXPYGeneric,
+	adam:     adamGeneric,
 }
 
 // kern is the implementation selected at package init. Immutable

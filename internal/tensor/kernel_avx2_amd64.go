@@ -13,10 +13,14 @@ import "math"
 // Determinism: the assembly folds every output element's terms in
 // ascending-k order with exactly the reference operations — one fused
 // multiply-add per term for the GEBP matmul tile (VFMADD231PD lanes are
-// the vector form of math.FMA), and a separate multiply then add per
-// term for the dense GEMV lanes (VMULPD+VADDPD, matching Dot's
-// two-rounding fold) — so results are bit-identical to the generic Go
-// kernels and to the naive references.
+// the vector form of math.FMA), a separate multiply then add per term
+// for the dense GEMV lanes and the row AXPY (VMULPD+VADDPD, matching
+// Dot's two-rounding fold), and Adam's scalar operations lane by lane
+// (true VDIVPD divides, a correctly rounded VSQRTPD, no FMA) — so
+// results are bit-identical to the generic Go kernels and to the naive
+// references. Every instruction is VEX-encoded and every kernel ends in
+// VZEROUPPER: a legacy-SSE instruction between YMM instructions costs an
+// AVX state transition each time it runs.
 
 const (
 	// avx2NR is the packed-B panel width: the GEBP micro-tile is 4×8,
@@ -33,6 +37,8 @@ var avx2Impl = &kernelImpl{
 	gebpTile: gebpTileAVX2,
 	lanes:    avx2Lanes,
 	gemv:     gemvAVX2,
+	rowAXPY:  rowAXPYAVX2,
+	adam:     adamAVX2,
 }
 
 // dgemm4x8 computes a full 4×8 tile: dst[r][c] (row stride n) gets
@@ -47,6 +53,19 @@ func dgemm4x8(dst, pa, pb *float64, k, n int)
 //
 //go:noescape
 func gemv16(dst, w, x, bias *float64, k int)
+
+// axpyRows folds dst_o += c[o]·src_o over nc rows of n elements in
+// ascending o, rows dstStride (srcStride) doubles apart, one multiply
+// then one add per element; with skip, a ±0 coefficient skips its row.
+//
+//go:noescape
+func axpyRows(dst, c, src *float64, nc, n, dstStride, srcStride int, skip bool)
+
+// adamVec applies the elementwise Adam update over n doubles, given the
+// precomputed b1c = 1-b1 and b2c = 1-b2.
+//
+//go:noescape
+func adamVec(p, grad, m, v *float64, n int, b1, b1c, b2, b2c, lr, c1, c2, eps float64)
 
 // gebpTileAVX2 is the AVX2 GEBP tile driver: full 4-row × 8-column
 // tiles go to the assembly micro-kernel (dgemm4x8's n operand is purely
@@ -116,4 +135,17 @@ func gemvAVX2(dst, packedW, x, bias []float64, blocks, k int) {
 		o := blk * avx2Lanes
 		gemv16(&dst[o], &packedW[blk*k*avx2Lanes], &x[0], &bias[o], k)
 	}
+}
+
+// rowAXPYAVX2 runs the whole row AXPY in one assembly call; RowAXPY has
+// already checked that every row lies inside dst and src.
+func rowAXPYAVX2(dst, c, src []float64, n, dstStride, srcStride int, skipZero bool) {
+	axpyRows(&dst[0], &c[0], &src[0], len(c), n, dstStride, srcStride, skipZero)
+}
+
+// adamAVX2 runs the Adam update in one assembly call. 1-beta1 and
+// 1-beta2 are computed here exactly as the generic loop computes them.
+func adamAVX2(p, g, m, v []float64, beta1, beta2, lr, c1, c2, eps float64) {
+	g, m, v = g[:len(p)], m[:len(p)], v[:len(p)]
+	adamVec(&p[0], &g[0], &m[0], &v[0], len(p), beta1, 1-beta1, beta2, 1-beta2, lr, c1, c2, eps)
 }

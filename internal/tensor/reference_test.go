@@ -7,8 +7,9 @@ import (
 
 // The materialized reference kernels. Production never runs them: the
 // convolution paths (ConvKernel, PackedConv) gather straight into GEBP
-// packing and never build a column matrix, and the dense paths fold
-// with Dot. They stay here because they define, in the plainest
+// packing and never build a column matrix, the dense forward folds with
+// Dot or the packed gemv, and the dense backward and Adam run the
+// dispatched RowAXPY and AdamStep kernels. They stay here because they define, in the plainest
 // sequential loops, the bit-exact per-element fold every production
 // kernel must reproduce; the bit-identity tests and BenchmarkKernels
 // (scripts/check_kernels.sh) compare against them.
@@ -345,4 +346,46 @@ func Col2ImInto(out, cols *Tensor, c, h, w, kh, kw, stride, pad int) *Tensor {
 		}
 	}
 	return out
+}
+
+// refDenseGradW is the scalar dW loop of the Dense backward:
+// gw[o,:] += g[o]·x for every o, one multiply then one add per element,
+// never skipping a term.
+func refDenseGradW(gw, g, x []float64) {
+	in := len(x)
+	for o := 0; o < len(g); o++ {
+		go_ := g[o]
+		row := gw[o*in : (o+1)*in]
+		for i := 0; i < in; i++ {
+			row[i] += go_ * x[i]
+		}
+	}
+}
+
+// refDenseGradIn is the scalar dX loop of the Dense backward:
+// gi += g[o]·w[o,:] in ascending o, skipping exactly the g[o] == ±0
+// rows (a NaN g[o] compares unequal to 0 and is folded).
+func refDenseGradIn(gi, g, w []float64) {
+	in := len(gi)
+	for o := 0; o < len(g); o++ {
+		go_ := g[o]
+		if go_ == 0 {
+			continue
+		}
+		row := w[o*in : (o+1)*in]
+		for i := 0; i < in; i++ {
+			gi[i] += go_ * row[i]
+		}
+	}
+}
+
+// refAdam is the scalar loop of the Adam optimizer's step.
+func refAdam(p, g, m, v []float64, beta1, beta2, lr, c1, c2, eps float64) {
+	for j := range p {
+		m[j] = beta1*m[j] + (1-beta1)*g[j]
+		v[j] = beta2*v[j] + (1-beta2)*g[j]*g[j]
+		mhat := m[j] / c1
+		vhat := v[j] / c2
+		p[j] -= lr * mhat / (math.Sqrt(vhat) + eps)
+	}
 }

@@ -30,8 +30,20 @@
 # helps the generic kernels too (it removes the column matrix and its
 # re-pack), hence a floor above 1x even without AVX2.
 #
-# Both gates run package tensor's BenchmarkKernels; the naive, im2col
-# and col2im references they time live in that package's test files.
+# The dense-training gate times one 32-example minibatch through the
+# Dense layers of the 8→64→32→4 DNN (forward, dW, dX, then Adam) on the
+# scalar test-file references and on the training kernels (PackedDense
+# Repack+Forward, RowAXPY, AdamStep). BenchmarkKernels/DenseTrainRatio
+# reports the median of 9 interleaved in-process samples of ref/kernel,
+# so host-speed drift cancels. Its floors are fixed in this script (no
+# override): DENSE_TRAIN_FLOOR for the AVX2 kernels, set below the
+# lowest of the runs recorded in CHANGES.md, and
+# DENSE_TRAIN_FLOOR_GENERIC for the portable Go kernels, which only
+# unroll the same loops.
+#
+# All gates run package tensor's BenchmarkKernels; the naive, im2col,
+# col2im and dense-training references they time live in that package's
+# test files.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -40,6 +52,8 @@ MIN_SPEEDUP_192="${MIN_SPEEDUP_192:-3.0}"
 MIN_SPEEDUP_192_GENERIC="${MIN_SPEEDUP_192_GENERIC:-0.9}"
 MIN_CONV_SPEEDUP="${MIN_CONV_SPEEDUP:-2.0}"
 MIN_CONV_SPEEDUP_GENERIC="${MIN_CONV_SPEEDUP_GENERIC:-1.1}"
+DENSE_TRAIN_FLOOR=2.0
+DENSE_TRAIN_FLOOR_GENERIC=0.9
 
 # -count=1 defeats the test cache: the selection depends on the host CPU,
 # which the cache key does not cover, so a cached log can report another
@@ -53,11 +67,13 @@ fi
 
 floor="$MIN_SPEEDUP_192"
 conv_floor="$MIN_CONV_SPEEDUP"
+dense_floor="$DENSE_TRAIN_FLOOR"
 if [ "$kernel" = "generic" ]; then
     floor="$MIN_SPEEDUP_192_GENERIC"
     conv_floor="$MIN_CONV_SPEEDUP_GENERIC"
+    dense_floor="$DENSE_TRAIN_FLOOR_GENERIC"
 fi
-echo "kernel gate: active kernel '$kernel', matmul floor $floor, conv floor $conv_floor"
+echo "kernel gate: active kernel '$kernel', matmul floor $floor, conv floor $conv_floor, dense-training floor $dense_floor"
 
 out=$(go test -bench 'BenchmarkKernels/MatMul(Naive|Blocked)192$' \
     -benchtime 5x -run '^$' ./internal/tensor/)
@@ -104,6 +120,28 @@ awk -v fr="$fwd_ref" -v fi="$fwd_imp" -v br="$bwd_ref" -v bi="$bwd_imp" \
     if (fwd < floor || bwd < floor) {
         printf "FAIL: conv speedup (fwd %.2fx, bwd %.2fx) below floor %.1fx.\n", fwd, bwd, floor > "/dev/stderr"
         print "The implicit-GEMM packers may have regressed (see internal/tensor/convgemm.go)." > "/dev/stderr"
+        exit 1
+    }
+}'
+
+# Dense-training gate: kernels vs scalar references, median of
+# interleaved samples inside one process.
+dense_out=$(go test -bench 'BenchmarkKernels/DenseTrainRatio$' -benchtime 1x -run '^$' ./internal/tensor/)
+printf '%s\n' "$dense_out"
+dense=$(printf '%s\n' "$dense_out" | awk '$1 ~ /DenseTrainRatio(-|$)/ {
+    for (i = 2; i <= NF; i++) if ($i == "ref/kernel") { print $(i-1); exit }
+}')
+if [ -z "$dense" ]; then
+    echo "FAIL: missing dense-training benchmark output" >&2
+    exit 1
+fi
+
+awk -v r="$dense" -v floor="$dense_floor" -v kernel="$kernel" 'BEGIN {
+    printf "kernel gate: dense-training speedup (median of interleaved samples) = %.2fx (floor %.1fx, kernel %s)\n",
+        r, floor, kernel
+    if (r < floor) {
+        printf "FAIL: dense-training speedup %.2fx below floor %.1fx.\n", r, floor > "/dev/stderr"
+        print "The training kernels may have regressed (see internal/tensor/train.go)." > "/dev/stderr"
         exit 1
     }
 }'
