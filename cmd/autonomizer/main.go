@@ -31,6 +31,7 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
+	"math"
 	"os"
 	"os/signal"
 	"syscall"
@@ -324,8 +325,7 @@ func runAblation(ctx context.Context, quick bool, seed uint64) error {
 		min.Score, min.InputSize, min.TrainTime.Round(time.Millisecond))
 	fmt.Printf("  unranked (Raw): score %.3f, %d inputs, train %v\n",
 		raw.Score, raw.InputSize, raw.TrainTime.Round(time.Millisecond))
-	fmt.Printf("  ranking wins by %+.0f%% score at %.1fx less training time\n\n",
-		100*(min.Score-raw.Score)/raw.Score, float64(raw.TrainTime)/float64(min.TrainTime))
+	fmt.Printf("  %s\n\n", rankingVerdict(min.Score, raw.Score, min.TrainTime, raw.TrainTime))
 
 	// Ablation 2: Algorithm 2's pruning on TORCS.
 	fmt.Println("Ablation 2: Algorithm 2 trace pruning (TORCS)")
@@ -334,6 +334,24 @@ func runAblation(ctx context.Context, quick bool, seed uint64) error {
 		fmt.Printf("  pruning=%v: %d features: %v\n", with, len(feats), feats)
 	}
 	return nil
+}
+
+// rankingVerdict words Ablation 1's outcome: ranked Min's score against
+// unranked Raw's as a win, a loss or a tie, and Min's training time
+// against Raw's as a multiple less or more.
+func rankingVerdict(minScore, rawScore float64, minTrain, rawTrain time.Duration) string {
+	score := "ties on score"
+	switch pct := math.Round(100 * (minScore - rawScore) / rawScore); {
+	case pct > 0:
+		score = fmt.Sprintf("wins by %.0f%% score", pct)
+	case pct < 0:
+		score = fmt.Sprintf("loses by %.0f%% score", -pct)
+	}
+	cost := fmt.Sprintf("%.1fx less training time", float64(rawTrain)/float64(minTrain))
+	if rawTrain < minTrain {
+		cost = fmt.Sprintf("%.1fx more training time", float64(minTrain)/float64(rawTrain))
+	}
+	return fmt.Sprintf("ranking %s at %s", score, cost)
 }
 
 func runDepGraph(subject string, seed uint64) error {

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math"
+	"math/bits"
 
 	"github.com/autonomizer/autonomizer/internal/auerr"
 
@@ -15,7 +16,10 @@ import (
 
 // ReLU is the rectified-linear activation max(0, x).
 type ReLU struct {
-	mask    []bool // which inputs were positive, for the backward pass
+	// mask holds, per input of the last Forward, all ones where x > 0
+	// and zero elsewhere. Forward and Backward AND it into the bits of
+	// their operand instead of branching on random signs.
+	mask    []uint64
 	out     *tensor.Tensor
 	gradBuf *tensor.Tensor
 }
@@ -23,43 +27,47 @@ type ReLU struct {
 // NewReLU returns a ReLU activation layer.
 func NewReLU() *ReLU { return &ReLU{} }
 
-// Forward applies max(0, x) elementwise.
-func (r *ReLU) Forward(in *tensor.Tensor) *tensor.Tensor {
-	r.out = tensor.Reuse(r.out, in.Shape()...)
-	out := r.out
-	if cap(r.mask) < in.Size() {
-		r.mask = make([]bool, in.Size())
-	}
-	r.mask = r.mask[:in.Size()]
-	od := out.Data()
-	for i, x := range in.Data() {
-		if x > 0 {
-			r.mask[i] = true
-			od[i] = x
-		} else {
-			r.mask[i] = false
-			od[i] = 0
-		}
-	}
-	return out
+// positiveMask returns all ones when the float64 with bits b is > 0 and
+// zero otherwise, without a branch. x > 0 exactly when its bits lie in
+// [1, +Inf's bits]: -0, negatives and NaNs fall outside. The borrow of
+// (b-1) - +Inf's bits is 1 exactly then.
+func positiveMask(b uint64) uint64 {
+	_, borrow := bits.Sub64(b-1, 0x7ff0000000000000, 0)
+	return -borrow
 }
 
-// Backward zeroes the gradient where the input was non-positive.
+// Forward applies max(0, x) elementwise: x where x > 0, +0 elsewhere
+// (-0, NaN and -Inf included).
+func (r *ReLU) Forward(in *tensor.Tensor) *tensor.Tensor {
+	r.out = tensor.Reuse(r.out, in.Shape()...)
+	if cap(r.mask) < in.Size() {
+		r.mask = make([]uint64, in.Size())
+	}
+	mask := r.mask[:in.Size()]
+	r.mask = mask
+	od := r.out.Data()[:len(mask)]
+	for i, x := range in.Data()[:len(mask)] {
+		b := math.Float64bits(x)
+		m := positiveMask(b)
+		mask[i] = m
+		od[i] = math.Float64frombits(b & m)
+	}
+	return r.out
+}
+
+// Backward passes the gradient where the input was positive and +0
+// elsewhere.
 func (r *ReLU) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	if len(r.mask) != gradOut.Size() {
 		auerr.Failf("nn: ReLU Backward shape mismatch or called before Forward")
 	}
 	r.gradBuf = tensor.Reuse(r.gradBuf, gradOut.Shape()...)
-	out := r.gradBuf
-	od := out.Data()
-	for i, g := range gradOut.Data() {
-		if r.mask[i] {
-			od[i] = g
-		} else {
-			od[i] = 0
-		}
+	mask := r.mask
+	od := r.gradBuf.Data()[:len(mask)]
+	for i, g := range gradOut.Data()[:len(mask)] {
+		od[i] = math.Float64frombits(math.Float64bits(g) & mask[i])
 	}
-	return out
+	return r.gradBuf
 }
 
 // Params implements Layer (ReLU has none).

@@ -105,8 +105,24 @@ func (c *Conv2D) Forward(in *tensor.Tensor) *tensor.Tensor {
 // gradient via the fused implicit-GEMM adjoints (no column matrix, no
 // column-gradient matrix).
 func (c *Conv2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
+	c.backward(gradOut, true)
+	return c.gradIn
+}
+
+// backwardParams is Backward without dL/dinput: the kernel skips the
+// per-channel input-gradient pass (paramBackwarder).
+func (c *Conv2D) backwardParams(gradOut *tensor.Tensor) { c.backward(gradOut, false) }
+
+// backward accumulates the weight and bias gradients and, withIn, forms
+// dL/dinput in c.gradIn.
+func (c *Conv2D) backward(gradOut *tensor.Tensor, withIn bool) {
 	if c.lastIn == nil {
 		auerr.Failf("nn: Conv2D Backward before Forward")
+	}
+	var gradIn []float64
+	if withIn {
+		c.gradIn = tensor.Reuse(c.gradIn, c.InC, c.inH, c.inW)
+		gradIn = c.gradIn.Data()
 	}
 	n := c.lastOutH * c.lastOutW
 	g := gradOut.Data()
@@ -117,8 +133,7 @@ func (c *Conv2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	// scattered directly from the kernel's per-channel stripes.
 	pw := tensor.Scratch.Get(c.gradW.Size())
 	c.gradWProd = tensor.ViewOf(c.gradWProd, *pw, c.OutC, c.InC*c.KH*c.KW)
-	c.gradIn = tensor.Reuse(c.gradIn, c.InC, c.inH, c.inW)
-	c.kern.Backward(c.gradWProd.Data(), c.gradIn.Data(), c.lastIn.Data(), c.weights.Data(), g)
+	c.kern.Backward(c.gradWProd.Data(), gradIn, c.lastIn.Data(), c.weights.Data(), g)
 	c.gradW.AddInPlace(c.gradWProd)
 	tensor.Scratch.Put(pw)
 	// dL/db = row sums of g
@@ -129,7 +144,6 @@ func (c *Conv2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 		}
 		c.gradB.Data()[oc] += sum
 	}
-	return c.gradIn
 }
 
 // Params returns the kernel and bias tensors.

@@ -104,6 +104,16 @@ func (d *Dense) unpackWeights() { d.packed = false }
 // o gains gradOut[o]·in, and dL/din folds gradOut[o]·W[o,:] in
 // ascending o, skipping the rows whose gradOut[o] is ±0.
 func (d *Dense) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
+	d.backwardParams(gradOut)
+	d.gradIn = tensor.Reuse(d.gradIn, d.InSize)
+	d.gradIn.Fill(0)
+	tensor.RowAXPY(d.gradIn.Data(), gradOut.Data(), d.weights.Data(), d.InSize, 0, d.InSize, true)
+	return d.gradIn
+}
+
+// backwardParams is Backward without dL/din: it accumulates dL/dW and
+// dL/db only (paramBackwarder).
+func (d *Dense) backwardParams(gradOut *tensor.Tensor) {
 	if gradOut.Size() != d.OutSize {
 		auerr.Failf("nn: Dense backward expects %d grads, got %d", d.OutSize, gradOut.Size())
 	}
@@ -116,10 +126,6 @@ func (d *Dense) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 		gb[o] += v
 	}
 	tensor.RowAXPY(d.gradW.Data(), g, d.lastIn.Data(), d.InSize, d.InSize, 0, false)
-	d.gradIn = tensor.Reuse(d.gradIn, d.InSize)
-	d.gradIn.Fill(0)
-	tensor.RowAXPY(d.gradIn.Data(), g, d.weights.Data(), d.InSize, 0, d.InSize, true)
-	return d.gradIn
 }
 
 // Params returns the weight and bias tensors.

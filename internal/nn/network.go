@@ -130,13 +130,29 @@ func (n *Network) PredictInto(dst, in []float64, shape ...int) []float64 {
 	return dst
 }
 
+// paramBackwarder is a layer that can accumulate its parameter
+// gradients without forming dL/dinput. Dense and Conv2D implement it.
+type paramBackwarder interface {
+	backwardParams(gradOut *tensor.Tensor)
+}
+
 // Backward pushes a loss gradient through the stack, accumulating
-// parameter gradients.
+// parameter gradients. Nothing reads the first layer's dL/dinput, so a
+// first layer that can skip it (paramBackwarder) does; any other runs
+// its full Backward.
 func (n *Network) Backward(gradOut *tensor.Tensor) {
+	if len(n.layers) == 0 {
+		return
+	}
 	g := gradOut
-	for i := len(n.layers) - 1; i >= 0; i-- {
+	for i := len(n.layers) - 1; i > 0; i-- {
 		g = n.layers[i].Backward(g)
 	}
+	if pb, ok := n.layers[0].(paramBackwarder); ok {
+		pb.backwardParams(g)
+		return
+	}
+	n.layers[0].Backward(g)
 }
 
 // TrainStep performs forward, loss, backward and one optimizer step on a

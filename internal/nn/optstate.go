@@ -124,6 +124,11 @@ func checkOptHeader(r io.Reader, name string) error {
 	if err := binary.Read(r, binary.LittleEndian, &nameLen); err != nil {
 		return fmt.Errorf("nn: read optimizer name length: %w", err)
 	}
+	// A name of another length cannot match; checking first keeps a
+	// corrupt length from allocating up to 64 KiB.
+	if int(nameLen) != len(name) {
+		return fmt.Errorf("nn: state names a %d-byte optimizer, bound optimizer is %q", nameLen, name)
+	}
 	got := make([]byte, nameLen)
 	if _, err := io.ReadFull(r, got); err != nil {
 		return fmt.Errorf("nn: read optimizer name: %w", err)
@@ -165,7 +170,19 @@ func (a *Adam) UnmarshalState(data []byte) error {
 			return fmt.Errorf("%w: %w", auerr.ErrCorruptModel, err)
 		}
 	}
+	if err := checkStateEnd(r); err != nil {
+		return err
+	}
 	a.t = int(t)
+	return nil
+}
+
+// checkStateEnd rejects bytes after a decoded state, so an accepted
+// state re-marshals to exactly its input.
+func checkStateEnd(r *bytes.Reader) error {
+	if r.Len() != 0 {
+		return fmt.Errorf("%w: nn: %d trailing bytes after optimizer state", auerr.ErrCorruptModel, r.Len())
+	}
 	return nil
 }
 
@@ -197,6 +214,9 @@ func (s *SGD) UnmarshalState(data []byte) error {
 	if err := binary.Read(r, binary.LittleEndian, &hasVel); err != nil {
 		return fmt.Errorf("%w: nn: read velocity flag: %w", auerr.ErrCorruptModel, err)
 	}
+	if hasVel > 1 {
+		return fmt.Errorf("%w: nn: velocity flag %d is neither 0 nor 1", auerr.ErrCorruptModel, hasVel)
+	}
 	if (hasVel == 1) != (s.velocity != nil) {
 		return fmt.Errorf("%w: nn: momentum configuration mismatch", auerr.ErrCorruptModel)
 	}
@@ -205,7 +225,7 @@ func (s *SGD) UnmarshalState(data []byte) error {
 			return fmt.Errorf("%w: %w", auerr.ErrCorruptModel, err)
 		}
 	}
-	return nil
+	return checkStateEnd(r)
 }
 
 // MarshalOptState serializes the bound optimizer's mutable state, or an

@@ -102,15 +102,28 @@ type Agent struct {
 	target *nn.PlanInstance
 
 	// Replay-update scratch reused across Observe calls: the sampled
-	// minibatch, the state views and (action, y) targets handed to
-	// online.TrainBatch, and the target plan's Q-values. stateView is
+	// minibatch and the slots it was drawn from, and the state views and
+	// (action, y) targets handed to online.TrainBatch. stateView is
 	// the recycled header for single-state forwards (Act, DoubleDQN's
 	// bootstrap action), so those allocate nothing.
 	batch     []Transition
+	slots     []int
 	ins       []*tensor.Tensor
 	targets   []*tensor.Tensor
-	nextQ     []float64
 	stateView *tensor.Tensor
+
+	// Target-value cache (DESIGN.md §5g). The target plan is fixed
+	// between syncs, so Q_target(s') of a replayed transition is the
+	// same every time it is drawn in one sync window. targetQ holds one
+	// Q-vector per replay slot (qWidth values each) and targetGen[slot]
+	// is the window it was computed in: a row is valid while it equals
+	// gen. syncTarget bumps gen; recording a transition clears its
+	// slot's stamp. Both are allocated at the first replayed update,
+	// sized to the buffer's capacity.
+	targetQ   []float64
+	targetGen []uint64
+	gen       uint64
+	qWidth    int
 
 	// Telemetry instruments, resolved at construction (nil while
 	// telemetry is disabled; every use is a nil-checked no-op).
@@ -139,6 +152,7 @@ func NewAgent(online *nn.Network, actions int, cfg Config, rng *stats.RNG) *Agen
 		rng:     rng,
 		actions: actions,
 		batch:   make([]Transition, cfg.BatchSize),
+		slots:   make([]int, cfg.BatchSize),
 		ins:     make([]*tensor.Tensor, cfg.BatchSize),
 		targets: targets,
 		obsSteps: reg.Counter("autonomizer_rl_train_steps_total",
@@ -211,9 +225,11 @@ func (a *Agent) ObserveCtx(ctx context.Context, t Transition) (float64, error) {
 // Observe records a transition and, past warmup, performs a replayed
 // Q-learning update: one online.TrainBatch of the TD Huber loss toward
 // y = r (terminal) or r + γ·Q_target(s', a*), where a* is the argmax of
-// Q_target(s', ·), or under DoubleDQN of the online Q(s', ·). The first
-// update binds Adam and compiles the target plan. It returns the training loss, or 0 when no update ran, and
-// panics where ObserveCtx returns an error.
+// Q_target(s', ·), or under DoubleDQN of the online Q(s', ·). A
+// transition drawn again before the next target sync reuses its cached
+// Q_target(s', ·). The first update binds Adam, compiles the target
+// plan and allocates the cache. It returns the training loss, or 0 when
+// no update ran, and panics where ObserveCtx returns an error.
 func (a *Agent) Observe(t Transition) float64 {
 	loss, err := a.observe(t)
 	if err != nil {
@@ -223,7 +239,10 @@ func (a *Agent) Observe(t Transition) float64 {
 }
 
 func (a *Agent) observe(t Transition) (float64, error) {
-	a.buffer.Add(t)
+	slot := a.buffer.Add(t)
+	if a.targetGen != nil {
+		a.targetGen[slot] = 0
+	}
 	a.steps++
 	if a.buffer.Len() < a.cfg.WarmupSteps || a.steps%a.cfg.LearnEvery != 0 {
 		return 0, nil
@@ -233,17 +252,20 @@ func (a *Agent) observe(t Transition) (float64, error) {
 		if err := a.syncTarget(len(t.State)); err != nil {
 			return 0, err
 		}
+		a.qWidth = a.target.Plan().OutSize()
+		a.targetQ = make([]float64, a.buffer.Cap()*a.qWidth)
+		a.targetGen = make([]uint64, a.buffer.Cap())
 	}
-	a.buffer.Sample(a.batch)
+	a.buffer.Sample(a.batch, a.slots)
 	for i, tr := range a.batch {
 		y := tr.Reward
 		if !tr.Terminal {
-			a.nextQ = a.target.PredictInto(a.nextQ, tr.NextState)
-			pick := a.nextQ
+			q := a.targetValues(a.slots[i], tr.NextState)
+			pick := q
 			if a.cfg.DoubleDQN {
 				pick = a.forward(tr.NextState)
 			}
-			y += a.cfg.Gamma * a.nextQ[stats.ArgMax(pick)]
+			y += a.cfg.Gamma * q[stats.ArgMax(pick)]
 		}
 		a.ins[i] = tensor.ViewOf(a.ins[i], tr.State, a.stateShape(len(tr.State))...)
 		td := a.targets[i].Data()
@@ -260,13 +282,27 @@ func (a *Agent) observe(t Transition) (float64, error) {
 	return loss, nil
 }
 
+// targetValues returns Q_target(next, ·) for the transition in slot: the
+// cached row when the current plan computed it, else a fresh prediction
+// stored there.
+func (a *Agent) targetValues(slot int, next []float64) []float64 {
+	q := a.targetQ[slot*a.qWidth : (slot+1)*a.qWidth]
+	if a.targetGen[slot] != a.gen {
+		a.target.PredictInto(q, next)
+		a.targetGen[slot] = a.gen
+	}
+	return q
+}
+
 // syncTarget snapshots the online weights into a freshly compiled target
-// plan for states of length n.
+// plan for states of length n, which invalidates every cached target
+// row.
 func (a *Agent) syncTarget(n int) error {
 	p, err := nn.Compile(a.online, a.stateShape(n)...)
 	if err != nil {
 		return auerr.E(auerr.ErrSpecInvalid, "rl: compiling the target plan: %v", err)
 	}
 	a.target = p.NewInstance()
+	a.gen++
 	return nil
 }

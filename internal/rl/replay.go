@@ -29,7 +29,6 @@ type Transition struct {
 type ReplayBuffer struct {
 	buf  []Transition
 	next int
-	full bool
 	rng  *stats.RNG
 }
 
@@ -41,15 +40,18 @@ func NewReplayBuffer(capacity int, rng *stats.RNG) *ReplayBuffer {
 	return &ReplayBuffer{buf: make([]Transition, 0, capacity), rng: rng}
 }
 
-// Add appends a transition, evicting the oldest when full.
-func (b *ReplayBuffer) Add(t Transition) {
+// Add appends a transition, evicting the oldest when full, and returns
+// the slot it wrote: the index Sample reports for draws of it until a
+// later Add overwrites that slot.
+func (b *ReplayBuffer) Add(t Transition) int {
 	if len(b.buf) < cap(b.buf) {
 		b.buf = append(b.buf, t)
-		return
+		return len(b.buf) - 1
 	}
-	b.full = true
-	b.buf[b.next] = t
+	slot := b.next
+	b.buf[slot] = t
 	b.next = (b.next + 1) % cap(b.buf)
+	return slot
 }
 
 // Len reports the number of stored transitions.
@@ -58,14 +60,17 @@ func (b *ReplayBuffer) Len() int { return len(b.buf) }
 // Cap reports the buffer capacity.
 func (b *ReplayBuffer) Cap() int { return cap(b.buf) }
 
-// Sample fills dst with transitions drawn uniformly with replacement.
-// It panics if the buffer is empty.
-func (b *ReplayBuffer) Sample(dst []Transition) {
+// Sample fills dst with transitions drawn uniformly with replacement
+// and slots[i] with the slot dst[i] was drawn from; slots must be at
+// least as long as dst. It panics if the buffer is empty.
+func (b *ReplayBuffer) Sample(dst []Transition, slots []int) {
 	if len(b.buf) == 0 {
 		auerr.Failf("rl: sampling from empty replay buffer")
 	}
+	slots = slots[:len(dst)]
 	for i := range dst {
-		dst[i] = b.buf[b.rng.Intn(len(b.buf))]
+		s := b.rng.Intn(len(b.buf))
+		dst[i], slots[i] = b.buf[s], s
 	}
 }
 

@@ -13,17 +13,26 @@ func TestReplayBufferBasics(t *testing.T) {
 	if b.Cap() != 3 || b.Len() != 0 {
 		t.Fatalf("fresh buffer len/cap = %d/%d", b.Len(), b.Cap())
 	}
-	for i := 0; i < 5; i++ {
-		b.Add(Transition{State: []float64{float64(i)}, Action: i})
+	// Add reports the ring slot it wrote: 0, 1, 2, then the oldest.
+	inSlot := map[int]int{}
+	for i, want := range []int{0, 1, 2, 0, 1} {
+		if got := b.Add(Transition{State: []float64{float64(i)}, Action: i}); got != want {
+			t.Fatalf("Add %d wrote slot %d, want %d", i, got, want)
+		}
+		inSlot[want] = i
 	}
 	if b.Len() != 3 {
 		t.Fatalf("Len after overflow = %d, want 3", b.Len())
 	}
-	// Oldest entries (0, 1) must have been evicted.
+	// Oldest entries (0, 1) must have been evicted, and every draw must
+	// report the slot that holds it.
 	seen := map[int]bool{}
-	one := make([]Transition, 1)
+	one, slot := make([]Transition, 1), make([]int, 1)
 	for i := 0; i < 200; i++ {
-		b.Sample(one)
+		b.Sample(one, slot)
+		if inSlot[slot[0]] != one[0].Action {
+			t.Fatalf("draw of action %d reported slot %d, which holds %d", one[0].Action, slot[0], inSlot[slot[0]])
+		}
 		seen[one[0].Action] = true
 	}
 	if seen[0] || seen[1] {
@@ -50,7 +59,7 @@ func TestReplaySampleEmptyPanics(t *testing.T) {
 			t.Error("sampling empty buffer did not panic")
 		}
 	}()
-	b.Sample(make([]Transition, 1))
+	b.Sample(make([]Transition, 1), make([]int, 1))
 }
 
 func TestReplayBufferNeverExceedsCap(t *testing.T) {

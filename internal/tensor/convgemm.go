@@ -670,6 +670,11 @@ func (ck *ConvKernel) Forward(out, in, w []float64) {
 // (OutC × N) output gradient; in must be the same buffer passed to the
 // matching Forward. Bit-identical to the materialized a×bᵀ and
 // aᵀ×b-plus-col2im reference compositions at any width.
+//
+// A nil gradIn skips the input gradient: neither g_out's column panels,
+// which only that product reads, nor the per-channel pass run. A
+// network's first layer needs no dL/dinput, and gradWProd does not
+// depend on it.
 func (ck *ConvKernel) Backward(gradWProd, gradIn, in, w, gout []float64) {
 	g := &ck.g
 	k, n := g.K(), g.Cols()
@@ -677,12 +682,15 @@ func (ck *ConvKernel) Backward(gradWProd, gradIn, in, w, gout []float64) {
 	ck.checkOperand("w", w, g.OutC*k)
 	ck.checkOperand("gout", gout, g.OutC*n)
 	ck.checkOperand("gradWProd", gradWProd, g.OutC*k)
-	ck.checkOperand("gradIn", gradIn, g.InC*g.InH*g.InW)
-	nr := ck.impl.nr
-	panels := (n + nr - 1) / nr
-	pg := Scratch.Get(panels * nr * g.OutC)
-	packPanels(*pg, gout, g.OutC, n, nr)
-	ck.packedG = *pg
+	var pg *[]float64
+	if gradIn != nil {
+		ck.checkOperand("gradIn", gradIn, g.InC*g.InH*g.InW)
+		nr := ck.impl.nr
+		panels := (n + nr - 1) / nr
+		pg = Scratch.Get(panels * nr * g.OutC)
+		packPanels(*pg, gout, g.OutC, n, nr)
+		ck.packedG = *pg
+	}
 	var pga *[]float64
 	if blocks := g.OutC / microM; blocks > 0 {
 		pga = Scratch.Get(blocks * microM * n)
@@ -692,7 +700,9 @@ func (ck *ConvKernel) Backward(gradWProd, gradIn, in, w, gout []float64) {
 		ck.packedGA = nil
 	}
 	ck.in, ck.w, ck.gout, ck.gradW, ck.gradIn = in, w, gout, gradWProd, gradIn
-	parallel.For(ck.g.InC, ck.chGrain, ck.bwdChShard)
+	if gradIn != nil {
+		parallel.For(ck.g.InC, ck.chGrain, ck.bwdChShard)
+	}
 	parallel.For(ck.wPanels, ck.wGrain, ck.bwdWShard)
 	ck.in, ck.w, ck.gout, ck.gradW, ck.gradIn = nil, nil, nil, nil, nil
 	ck.packedG, ck.packedGA = nil, nil

@@ -129,6 +129,39 @@ func TestConvKernelBitIdentical(t *testing.T) {
 	}
 }
 
+// TestConvKernelBackwardWithoutGradIn pins the input-layer skip: a nil
+// gradIn must leave gradWProd bit-identical to a call that also forms
+// the input gradient, for every implementation and at widths {1, 2, 8}.
+func TestConvKernelBackwardWithoutGradIn(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for _, tc := range convCases {
+		g := NewConvGeom(tc.inC, tc.inH, tc.inW, tc.kh, tc.kw, tc.stride, tc.pad, tc.outC)
+		k, n := g.K(), g.Cols()
+		in := make([]float64, tc.inC*tc.inH*tc.inW)
+		w := make([]float64, tc.outC*k)
+		gout := make([]float64, tc.outC*n)
+		seedConv(in, rng)
+		seedConv(w, rng)
+		seedConv(gout, rng)
+		for _, impl := range convImpls() {
+			ck := newConvKernel(g, impl)
+			for _, workers := range []int{1, 2, 8} {
+				prev := parallel.SetWorkers(workers)
+				want := make([]float64, tc.outC*k)
+				ck.Backward(want, make([]float64, len(in)), in, w, gout)
+				got := make([]float64, tc.outC*k)
+				ck.Backward(got, nil, in, w, gout)
+				parallel.SetWorkers(prev)
+				if i := diffBits(got, want); i >= 0 {
+					t.Fatalf("%s/%s/w%d gradW without gradIn: elem %d = %x, want %x",
+						tc.name, impl.name, workers, i,
+						math.Float64bits(got[i]), math.Float64bits(want[i]))
+				}
+			}
+		}
+	}
+}
+
 // TestPackedConvBitIdentical exercises the compiled serving path:
 // PrepackConv + Forward over the same geometry table must reproduce the
 // reference product bit-for-bit, and the prepack must be a snapshot —

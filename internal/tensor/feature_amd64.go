@@ -5,22 +5,15 @@ package tensor
 // CPU feature detection for the amd64 kernel dispatch. The assembly
 // kernels in kernel_avx2_amd64.s need FMA3 and AVX2, plus OS support for
 // saving/restoring the YMM register state (OSXSAVE + XCR0 bits 1-2). The
-// whole dance runs once, from pickKernel at package init.
+// whole dance runs once, from pickKernel at package init. The probe and
+// the assembly build under every tag; only archKernel (arch_amd64.go)
+// is left out of a purego build.
 
 // cpuid executes CPUID with the given leaf/subleaf; kernel_avx2_amd64.s.
 func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 
 // xgetbv0 reads XCR0 (requires OSXSAVE); kernel_avx2_amd64.s.
 func xgetbv0() (eax, edx uint32)
-
-// archKernel returns the accelerated implementation for this host, or
-// nil when the CPU (or OS) lacks the required features.
-func archKernel() *kernelImpl {
-	if !hasAVX2FMA() {
-		return nil
-	}
-	return avx2Impl
-}
 
 // hasAVX2FMA reports whether the host supports the AVX2+FMA kernels:
 // CPUID.1:ECX advertises FMA, AVX and OSXSAVE; XCR0 confirms the OS
