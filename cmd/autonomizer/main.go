@@ -431,8 +431,8 @@ func runServe(ctx context.Context, log *slog.Logger, seed uint64) error {
 	if _, err := rt.WriteBackCtx(ctx, "unbound", nil); err == nil {
 		return fmt.Errorf("serve: write_back of unbound name unexpectedly succeeded")
 	}
-	// The toy networks above run below the parallel cutoff, so drive the
-	// worker pool directly once — its utilization gauges should export
+	// The toy networks above run sequentially, so drive the worker pool
+	// directly once — its utilization gauges should export
 	// even on this miniature workload (forcing width 2 on a 1-core box).
 	if parallel.Workers() < 2 {
 		defer parallel.SetWorkers(parallel.SetWorkers(2))

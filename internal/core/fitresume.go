@@ -86,13 +86,13 @@ func (m *model) fitResumeCtx(ctx context.Context, epochs, batchSize int, tel *te
 				"core: checkpoint was taken at epochs=%d batch=%d, resume requested epochs=%d batch=%d",
 				ck.Epochs, ck.BatchSize, epochs, batchSize)
 		}
-		if err := m.net.UnmarshalParams(ck.Params); err != nil {
-			return st, fmt.Errorf("core: restoring checkpoint params for %q: %w", m.spec.Name, err)
+		// Parameters and optimizer state are checked together before
+		// either is written, so a rejected checkpoint leaves the model
+		// exactly as it was.
+		if err := m.net.UnmarshalTrainingState(ck.Params, ck.OptState); err != nil {
+			return st, fmt.Errorf("core: restoring checkpoint for %q: %w", m.spec.Name, err)
 		}
 		m.bumpWeights()
-		if err := m.net.UnmarshalOptState(ck.OptState); err != nil {
-			return st, fmt.Errorf("core: restoring optimizer state for %q: %w", m.spec.Name, err)
-		}
 		m.rng.SetState(ck.RNGState)
 		startEpoch, startBatch, resumeLoss = ck.Epoch, ck.Batch, ck.LossSum
 		st.Epochs, st.Batches = ck.Epoch, ck.Batches

@@ -148,3 +148,59 @@ func TestFitResumeCheckpointCallbackErrorAborts(t *testing.T) {
 		t.Errorf("Batches = %d, want 2 (aborted at first checkpoint)", st.Batches)
 	}
 }
+
+// TestFitResumeRejectedCheckpointLeavesModel resumes a model that has
+// already trained from a checkpoint whose parameters are valid but
+// whose optimizer state (or parameter image) is corrupt. The resume
+// must fail with ErrCorruptModel before touching anything: the saved
+// model and the optimizer state read back bit-identical to before.
+func TestFitResumeRejectedCheckpointLeavesModel(t *testing.T) {
+	const n, epochs, batch = 32, 2, 8
+	rt := slRuntime(t, n)
+	var first *ckpt.FitCheckpoint
+	_, err := rt.FitResumeCtx(newStepCtx(3), "sl", epochs, batch, FitResumeOptions{
+		CheckpointEvery: 1,
+		OnCheckpoint: func(c *ckpt.FitCheckpoint) error {
+			if first == nil {
+				first = c
+			}
+			return nil
+		},
+	})
+	wantCanceled(t, err)
+	m, _ := rt.getModel("sl")
+	snapshot := func() (params, opt []byte) {
+		t.Helper()
+		params, err := rt.SaveModel("sl")
+		if err != nil {
+			t.Fatalf("SaveModel: %v", err)
+		}
+		opt, err = m.net.MarshalOptState()
+		if err != nil {
+			t.Fatalf("MarshalOptState: %v", err)
+		}
+		return params, opt
+	}
+	wantParams, wantOpt := snapshot()
+
+	truncOpt := *first
+	truncOpt.OptState = first.OptState[:len(first.OptState)-8]
+	truncParams := *first
+	truncParams.Params = first.Params[:len(first.Params)-8]
+	for name, bad := range map[string]*ckpt.FitCheckpoint{
+		"optimizer state truncated by 8": &truncOpt,
+		"params truncated by 8":          &truncParams,
+	} {
+		_, err := rt.FitResumeCtx(context.Background(), "sl", epochs, batch, FitResumeOptions{Resume: bad})
+		if !errors.Is(err, auerr.ErrCorruptModel) {
+			t.Fatalf("%s: error %v, want ErrCorruptModel", name, err)
+		}
+		gotParams, gotOpt := snapshot()
+		if !bytes.Equal(gotParams, wantParams) {
+			t.Errorf("%s: a rejected resume changed the parameters", name)
+		}
+		if !bytes.Equal(gotOpt, wantOpt) {
+			t.Errorf("%s: a rejected resume changed the optimizer state", name)
+		}
+	}
+}

@@ -1,10 +1,6 @@
 package env
 
-import (
-	"context"
-
-	"github.com/autonomizer/autonomizer/internal/parallel"
-)
+import "github.com/autonomizer/autonomizer/internal/parallel"
 
 // ParallelAverageScore plays episodes concurrently and reports the mean
 // score and success rate, the fan-out counterpart of AverageScore. Each
@@ -27,31 +23,4 @@ func ParallelAverageScore(newEnv func(episode int) Env, newPolicy func(episode i
 		}
 	}
 	return score / float64(episodes), successRate / float64(episodes)
-}
-
-// ParallelAverageScoreCtx is the context-aware ParallelAverageScore: a
-// canceled context stops scheduling episodes at the next chunk boundary
-// and returns an error wrapping auerr.ErrCanceled (and the context's
-// cause). The episode is the atomic unit — episodes already dispatched
-// run to completion, but their partial tally is discarded because a mean
-// over an unplanned subset of episodes would not be comparable to a full
-// evaluation.
-func ParallelAverageScoreCtx(ctx context.Context, newEnv func(episode int) Env, newPolicy func(episode int) Policy,
-	episodes, maxSteps int) (score, successRate float64, err error) {
-	results := make([]EpisodeResult, episodes)
-	err = parallel.ForCtx(ctx, episodes, 1, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			results[i] = RunEpisode(newEnv(i), newPolicy(i), maxSteps)
-		}
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	for _, res := range results {
-		score += res.Score
-		if res.Success {
-			successRate++
-		}
-	}
-	return score / float64(episodes), successRate / float64(episodes), nil
 }

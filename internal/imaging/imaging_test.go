@@ -363,10 +363,30 @@ func TestWritePGMClamps(t *testing.T) {
 	}
 }
 
+// pgmGarbage are PGM streams ReadPGM must reject: empty input, the
+// wrong magic, bad dimensions and max value, sizes whose product
+// overflows int or passes the pixel cap, and a header that promises
+// 64 Mi pixels but supplies none.
+var pgmGarbage = []string{
+	"",
+	"P6\n2 2\n255\n",
+	"P5\n-1 2\n255\n",
+	"P5\n2 2\n128\n",
+	"P5 4294967296 4294967296 255\n",
+	"P5 9223372036854775807 2 255\n",
+	"P5 67108865 1 255\n",
+	"P5 8193 8193 255\n",
+	"P5 8192 8192 255\n",
+}
+
 func TestReadPGMRejectsGarbage(t *testing.T) {
-	for _, bad := range []string{"", "P6\n2 2\n255\n", "P5\n-1 2\n255\n", "P5\n2 2\n128\n"} {
-		if _, err := ReadPGM(bytes.NewBufferString(bad)); err == nil {
+	for _, bad := range pgmGarbage {
+		_, err, alloc := readPGMMeasured([]byte(bad))
+		if err == nil {
 			t.Errorf("accepted %q", bad)
+		}
+		if budget := pgmAllocBudget(len(bad)); alloc > budget {
+			t.Errorf("rejecting %q allocated %d bytes, want <= %d", bad, alloc, budget)
 		}
 	}
 	// Truncated data.

@@ -66,15 +66,22 @@ func WritePGM(w io.Writer, img *Image) error {
 	return nil
 }
 
+const (
+	// maxPGMPixels bounds the pixel count ReadPGM accepts (64 Mi pixels).
+	maxPGMPixels = 1 << 26
+	// maxPGMToken bounds a header field: the magic, or a decimal int64.
+	maxPGMToken = 20
+)
+
 // ReadPGM parses a binary PGM (P5) stream produced by WritePGM. The
 // header is tokenized manually: the P5 format allows a single
 // whitespace byte between the max value and the pixel data, and pixel
 // bytes may themselves look like whitespace, so buffered or scanning
 // readers (fmt.Fscan) cannot be trusted not to eat data.
 func ReadPGM(r io.Reader) (*Image, error) {
+	one := make([]byte, 1)
 	token := func() (string, error) {
-		var b []byte
-		one := make([]byte, 1)
+		b := make([]byte, 0, maxPGMToken)
 		// Skip leading whitespace.
 		for {
 			if _, err := io.ReadFull(r, one); err != nil {
@@ -96,6 +103,9 @@ func ReadPGM(r io.Reader) (*Image, error) {
 			}
 			if isPGMSpace(one[0]) {
 				return string(b), nil
+			}
+			if len(b) == maxPGMToken {
+				return "", fmt.Errorf("header field longer than %d bytes", maxPGMToken)
 			}
 			b = append(b, one[0])
 		}
@@ -120,15 +130,23 @@ func ReadPGM(r io.Reader) (*Image, error) {
 		dims[i] = v
 	}
 	w, h, maxVal := dims[0], dims[1], dims[2]
-	if w <= 0 || h <= 0 || w*h > 1<<26 {
+	// Each dimension is bounded before they are multiplied, so the
+	// product cannot overflow.
+	if w <= 0 || h <= 0 || w > maxPGMPixels || h > maxPGMPixels/w {
 		return nil, fmt.Errorf("imaging: implausible PGM size %dx%d", w, h)
 	}
 	if maxVal != 255 {
 		return nil, fmt.Errorf("imaging: unsupported max value %d", maxVal)
 	}
-	buf := make([]byte, w*h)
-	if _, err := io.ReadFull(r, buf); err != nil {
+	// The pixel buffer grows with the bytes that actually arrive, so a
+	// header that promises more than the stream holds costs no more
+	// memory than the stream itself.
+	buf, err := io.ReadAll(io.LimitReader(r, int64(w*h)))
+	if err != nil {
 		return nil, fmt.Errorf("imaging: read PGM data: %w", err)
+	}
+	if len(buf) != w*h {
+		return nil, fmt.Errorf("imaging: read PGM data: %d of %d bytes: %w", len(buf), w*h, io.ErrUnexpectedEOF)
 	}
 	img := NewImage(w, h)
 	for i, b := range buf {

@@ -1,13 +1,13 @@
 // compile.go is the serving half of the two-representation architecture
 // (DESIGN.md §5g). A *Network is the training representation: mutable
-// weights, per-layer caches for the backward pass, parallel kernels that
-// pack operands on every call. A *Plan is the compiled serving
+// weights, per-layer caches for the backward pass, kernels that pack
+// operands on every call. A *Plan is the compiled serving
 // representation built from a network at a fixed input shape: weights
 // are packed into the active kernel's layout exactly once, every buffer
 // is pre-sized from the compile-time shape walk, and the ops run
 // sequentially — parallelism lives above the plan (one instance per
 // goroutine), not inside it — so a steady-state PredictInto performs
-// zero allocations and no scratch-arena traffic.
+// zero allocations.
 //
 // A Plan snapshots the weights: training a network after compiling it
 // does not change the plan. Publishing new weights means compiling a new
@@ -198,7 +198,7 @@ func (pi *PlanInstance) Predict(in []float64) []float64 {
 // PredictInto runs the plan over in, writing the output into dst when it
 // has the right length (allocating it otherwise) and returning the
 // filled slice. The steady state — correctly sized dst — allocates
-// nothing: no op allocates, packs weights, or touches the scratch arena.
+// nothing: no op allocates or packs weights.
 // in is never written to.
 func (pi *PlanInstance) PredictInto(dst, in []float64) []float64 {
 	if len(in) != pi.plan.inSize {

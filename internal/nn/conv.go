@@ -39,12 +39,13 @@ type Conv2D struct {
 	lastIn *tensor.Tensor
 
 	// Reused scratch (DESIGN.md §5e): the 2-D output and its
-	// (OutC, outH, outW) view and the input gradient are layer-owned and
+	// (OutC, outH, outW) view, the per-example gradW product and the
+	// input gradient are layer-owned and
 	// recycled across calls, so steady-state forward/backward allocates
 	// nothing. Outputs are valid until the next call on this layer.
 	out2d     *tensor.Tensor
 	outView   *tensor.Tensor
-	gradWProd *tensor.Tensor // view over arena scratch for the gradW product
+	gradWProd *tensor.Tensor // one example's gradW product
 	gradIn    *tensor.Tensor
 }
 
@@ -131,11 +132,9 @@ func (c *Conv2D) backward(gradOut *tensor.Tensor, withIn bool) {
 	// the accumulator): that is the fold rl's golden digests pin, so
 	// chaining would change trained weights. dL/dinput = col2im(Wᵀ × g),
 	// scattered directly from the kernel's per-channel stripes.
-	pw := tensor.Scratch.Get(c.gradW.Size())
-	c.gradWProd = tensor.ViewOf(c.gradWProd, *pw, c.OutC, c.InC*c.KH*c.KW)
+	c.gradWProd = tensor.Reuse(c.gradWProd, c.OutC, c.InC*c.KH*c.KW)
 	c.kern.Backward(c.gradWProd.Data(), gradIn, c.lastIn.Data(), c.weights.Data(), g)
 	c.gradW.AddInPlace(c.gradWProd)
-	tensor.Scratch.Put(pw)
 	// dL/db = row sums of g
 	for oc := 0; oc < c.OutC; oc++ {
 		sum := 0.0

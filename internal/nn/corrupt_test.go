@@ -1,11 +1,13 @@
 package nn
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
 	"github.com/autonomizer/autonomizer/internal/auerr"
 	"github.com/autonomizer/autonomizer/internal/stats"
+	"github.com/autonomizer/autonomizer/internal/tensor"
 )
 
 // TestLoadParamsRejectsCorruptBytes feeds damaged serialized-model bytes
@@ -69,5 +71,100 @@ func TestLoadParamsRejectsArchitectureMismatch(t *testing.T) {
 	dst := NewDNN(6, []int{8}, 2, stats.NewRNG(3))
 	if err := dst.UnmarshalParams(data); !errors.Is(err, auerr.ErrCorruptModel) {
 		t.Errorf("mismatched load: error %v does not wrap auerr.ErrCorruptModel", err)
+	}
+}
+
+// trainedForRestore returns a 3-4-2 DNN with the given optimizer after a
+// few TrainSteps, so its parameters, moments and step counter all hold
+// values a half-applied load would visibly change.
+func trainedForRestore(seed uint64, useAdam bool, steps int) *Network {
+	net := NewDNN(3, []int{4}, 2, stats.NewRNG(seed))
+	if useAdam {
+		net.UseAdam(1e-2)
+	} else {
+		net.UseSGD(1e-2, 0.9)
+	}
+	in := tensor.FromSlice([]float64{0.3, -0.7, 1.1}, 3)
+	target := tensor.FromSlice([]float64{1, -1}, 2)
+	for i := 0; i < steps; i++ {
+		net.TrainStep(in, target)
+	}
+	return net
+}
+
+// trainingImage is everything a restore can touch: the parameter image
+// and the optimizer-state image (moments, velocity, step counter).
+func trainingImage(t *testing.T, net *Network) (params, opt []byte) {
+	t.Helper()
+	params, err := net.MarshalParams()
+	if err != nil {
+		t.Fatalf("MarshalParams: %v", err)
+	}
+	opt, err = net.MarshalOptState()
+	if err != nil {
+		t.Fatalf("MarshalOptState: %v", err)
+	}
+	return params, opt
+}
+
+// TestRejectedStateLeavesNetworkUnchanged pins the all-or-nothing
+// restore: a parameter or optimizer-state image that is rejected with
+// ErrCorruptModel — truncated anywhere, or a valid state of another
+// length appended to — must leave every parameter, moment and step
+// counter bit-identical, alone (UnmarshalParams, UnmarshalOptState) and
+// together (UnmarshalTrainingState).
+func TestRejectedStateLeavesNetworkUnchanged(t *testing.T) {
+	for _, useAdam := range []bool{true, false} {
+		src := trainedForRestore(11, useAdam, 5)
+		goodParams, goodOpt := trainingImage(t, src)
+		corrupt := map[string][]byte{
+			"opt truncated by 8": goodOpt[:len(goodOpt)-8],
+			"opt truncated by 1": goodOpt[:len(goodOpt)-1],
+			"opt trailing byte":  append(append([]byte(nil), goodOpt...), 0),
+		}
+		loads := map[string]func(*Network, []byte) error{
+			"UnmarshalOptState": func(n *Network, b []byte) error { return n.UnmarshalOptState(b) },
+			"UnmarshalTrainingState": func(n *Network, b []byte) error {
+				return n.UnmarshalTrainingState(goodParams, b)
+			},
+		}
+		for cname, bad := range corrupt {
+			for lname, load := range loads {
+				victim := trainedForRestore(12, useAdam, 3)
+				wantParams, wantOpt := trainingImage(t, victim)
+				if err := load(victim, bad); !errors.Is(err, auerr.ErrCorruptModel) {
+					t.Fatalf("adam=%v %s/%s: error %v, want ErrCorruptModel", useAdam, lname, cname, err)
+				}
+				gotParams, gotOpt := trainingImage(t, victim)
+				if !bytes.Equal(gotParams, wantParams) || !bytes.Equal(gotOpt, wantOpt) {
+					t.Errorf("adam=%v %s/%s: a rejected load changed the network", useAdam, lname, cname)
+				}
+			}
+		}
+		for _, cut := range []int{1, 8, len(goodParams) / 2} {
+			victim := trainedForRestore(12, useAdam, 3)
+			wantParams, wantOpt := trainingImage(t, victim)
+			badParams := goodParams[:len(goodParams)-cut]
+			if err := victim.UnmarshalParams(badParams); !errors.Is(err, auerr.ErrCorruptModel) {
+				t.Fatalf("adam=%v params cut by %d: error %v, want ErrCorruptModel", useAdam, cut, err)
+			}
+			if err := victim.UnmarshalTrainingState(badParams, goodOpt); !errors.Is(err, auerr.ErrCorruptModel) {
+				t.Fatalf("adam=%v training state, params cut by %d: error %v, want ErrCorruptModel", useAdam, cut, err)
+			}
+			gotParams, gotOpt := trainingImage(t, victim)
+			if !bytes.Equal(gotParams, wantParams) || !bytes.Equal(gotOpt, wantOpt) {
+				t.Errorf("adam=%v params cut by %d: a rejected load changed the network", useAdam, cut)
+			}
+		}
+		// The good images still load, so the cases above failed for the
+		// right reason.
+		victim := trainedForRestore(12, useAdam, 3)
+		if err := victim.UnmarshalTrainingState(goodParams, goodOpt); err != nil {
+			t.Fatalf("adam=%v good images: %v", useAdam, err)
+		}
+		gotParams, gotOpt := trainingImage(t, victim)
+		if !bytes.Equal(gotParams, goodParams) || !bytes.Equal(gotOpt, goodOpt) {
+			t.Errorf("adam=%v good images did not restore the source network", useAdam)
+		}
 	}
 }

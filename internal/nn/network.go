@@ -185,10 +185,9 @@ func (n *Network) lossGrad(pred, target *tensor.Tensor) *tensor.Tensor {
 //
 // The examples run one after another in example order: forward, loss and
 // backward accumulate into the network's gradients, which are then
-// averaged, clipped and stepped once. Parallelism lives inside the
-// kernels (tensor.ConvKernel shards each conv op with fixed chunk
-// geometry), so the updated weights are bit-identical at any worker
-// width. The weights stay fixed until the step, so every Dense layer
+// averaged, clipped and stepped once. Nothing here reads the worker
+// width, so the updated weights are bit-identical at any width. The
+// weights stay fixed until the step, so every Dense layer
 // lane-packs them once up front and runs the batch's forwards through
 // the packed gemv (bit-identical to its Dot fold); the packs are
 // dropped before TrainBatch returns.

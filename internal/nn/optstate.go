@@ -40,7 +40,8 @@ type StatefulOptimizer interface {
 	// the model spec.
 	MarshalState() ([]byte, error)
 	// UnmarshalState restores state previously produced by MarshalState
-	// on an optimizer bound to identically shaped parameters.
+	// on an optimizer bound to identically shaped parameters. A rejected
+	// image leaves the state as it was.
 	UnmarshalState(data []byte) error
 }
 
@@ -71,31 +72,56 @@ func writeTensorSet(w io.Writer, set [][]float64) error {
 	return nil
 }
 
-func readTensorSet(r io.Reader, want [][]float64) error {
-	var count uint32
-	if err := binary.Read(r, binary.LittleEndian, &count); err != nil {
-		return fmt.Errorf("nn: read tensor count: %w", err)
-	}
-	if int(count) != len(want) {
-		return fmt.Errorf("nn: state has %d tensors, optimizer expects %d", count, len(want))
-	}
-	for i, d := range want {
-		var size uint32
-		if err := binary.Read(r, binary.LittleEndian, &size); err != nil {
-			return fmt.Errorf("nn: read size of tensor %d: %w", i, err)
+// checkTensorSets checks that b holds exactly the tensor-set images of
+// sets, one after another, against the optimizer's slices: each set's
+// tensor count, every tensor's size, all of its values, and no byte
+// after the last. It writes nothing.
+func checkTensorSets(b []byte, sets ...[][]float64) error {
+	off := 0
+	for _, want := range sets {
+		if len(b)-off < 4 {
+			return fmt.Errorf("nn: read tensor count: %w", io.ErrUnexpectedEOF)
 		}
-		if int(size) != len(d) {
-			return fmt.Errorf("nn: tensor %d has %d values, optimizer expects %d", i, size, len(d))
+		if count := binary.LittleEndian.Uint32(b[off:]); int(count) != len(want) {
+			return fmt.Errorf("nn: state has %d tensors, optimizer expects %d", count, len(want))
 		}
-		for j := range d {
-			var bits uint64
-			if err := binary.Read(r, binary.LittleEndian, &bits); err != nil {
-				return fmt.Errorf("nn: read value of tensor %d: %w", i, err)
+		off += 4
+		for i, d := range want {
+			if len(b)-off < 4 {
+				return fmt.Errorf("nn: read size of tensor %d: %w", i, io.ErrUnexpectedEOF)
 			}
-			d[j] = math.Float64frombits(bits)
+			if size := binary.LittleEndian.Uint32(b[off:]); int(size) != len(d) {
+				return fmt.Errorf("nn: tensor %d has %d values, optimizer expects %d", i, size, len(d))
+			}
+			off += 4
+			if len(b)-off < 8*len(d) {
+				return fmt.Errorf("nn: read values of tensor %d: %w", i, io.ErrUnexpectedEOF)
+			}
+			off += 8 * len(d)
 		}
+	}
+	// Rejecting trailing bytes makes an accepted state re-marshal to
+	// exactly its input.
+	if off != len(b) {
+		return fmt.Errorf("nn: %d trailing bytes after optimizer state", len(b)-off)
 	}
 	return nil
+}
+
+// readTensorSets copies images that checkTensorSets accepted for the
+// same slices into them.
+func readTensorSets(b []byte, sets ...[][]float64) {
+	off := 0
+	for _, set := range sets {
+		off += 4
+		for _, d := range set {
+			off += 4
+			for j := range d {
+				d[j] = math.Float64frombits(binary.LittleEndian.Uint64(b[off:]))
+				off += 8
+			}
+		}
+	}
 }
 
 func marshalOptHeader(buf *bytes.Buffer, name string) {
@@ -103,6 +129,22 @@ func marshalOptHeader(buf *bytes.Buffer, name string) {
 	binary.Write(buf, binary.LittleEndian, uint32(optStateVersion))
 	binary.Write(buf, binary.LittleEndian, uint16(len(name)))
 	buf.WriteString(name)
+}
+
+// optStateBody checks the header of an optimizer-state image for the
+// named optimizer and returns the bytes after it.
+func optStateBody(data []byte, name string) ([]byte, error) {
+	r := bytes.NewReader(data)
+	if err := checkOptHeader(r, name); err != nil {
+		return nil, err
+	}
+	return data[len(data)-r.Len():], nil
+}
+
+// corruptState classifies a state decoding failure as
+// auerr.ErrCorruptModel.
+func corruptState(err error) error {
+	return fmt.Errorf("%w: %w", auerr.ErrCorruptModel, err)
 }
 
 func checkOptHeader(r io.Reader, name string) error {
@@ -155,34 +197,23 @@ func (a *Adam) MarshalState() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// UnmarshalState implements StatefulOptimizer for Adam.
+// UnmarshalState implements StatefulOptimizer for Adam. The whole image
+// is checked before anything is written, so a rejected state leaves the
+// moments and the step counter as they were.
 func (a *Adam) UnmarshalState(data []byte) error {
-	r := bytes.NewReader(data)
-	if err := checkOptHeader(r, a.Name()); err != nil {
-		return fmt.Errorf("%w: %w", auerr.ErrCorruptModel, err)
+	body, err := optStateBody(data, a.Name())
+	if err != nil {
+		return corruptState(err)
 	}
-	var t uint64
-	if err := binary.Read(r, binary.LittleEndian, &t); err != nil {
-		return fmt.Errorf("%w: nn: read adam step counter: %w", auerr.ErrCorruptModel, err)
+	if len(body) < 8 {
+		return corruptState(fmt.Errorf("nn: read adam step counter: %w", io.ErrUnexpectedEOF))
 	}
-	for _, set := range [][]*tensor.Tensor{a.m, a.v} {
-		if err := readTensorSet(r, datas(set)); err != nil {
-			return fmt.Errorf("%w: %w", auerr.ErrCorruptModel, err)
-		}
+	m, v := datas(a.m), datas(a.v)
+	if err := checkTensorSets(body[8:], m, v); err != nil {
+		return corruptState(err)
 	}
-	if err := checkStateEnd(r); err != nil {
-		return err
-	}
-	a.t = int(t)
-	return nil
-}
-
-// checkStateEnd rejects bytes after a decoded state, so an accepted
-// state re-marshals to exactly its input.
-func checkStateEnd(r *bytes.Reader) error {
-	if r.Len() != 0 {
-		return fmt.Errorf("%w: nn: %d trailing bytes after optimizer state", auerr.ErrCorruptModel, r.Len())
-	}
+	readTensorSets(body[8:], m, v)
+	a.t = int(binary.LittleEndian.Uint64(body))
 	return nil
 }
 
@@ -204,28 +235,31 @@ func (s *SGD) MarshalState() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// UnmarshalState implements StatefulOptimizer for SGD.
+// UnmarshalState implements StatefulOptimizer for SGD. The whole image
+// is checked before anything is written, so a rejected state leaves the
+// velocity as it was.
 func (s *SGD) UnmarshalState(data []byte) error {
-	r := bytes.NewReader(data)
-	if err := checkOptHeader(r, s.Name()); err != nil {
-		return fmt.Errorf("%w: %w", auerr.ErrCorruptModel, err)
+	body, err := optStateBody(data, s.Name())
+	if err != nil {
+		return corruptState(err)
 	}
-	var hasVel byte
-	if err := binary.Read(r, binary.LittleEndian, &hasVel); err != nil {
-		return fmt.Errorf("%w: nn: read velocity flag: %w", auerr.ErrCorruptModel, err)
+	if len(body) < 1 {
+		return corruptState(fmt.Errorf("nn: read velocity flag: %w", io.ErrUnexpectedEOF))
 	}
-	if hasVel > 1 {
-		return fmt.Errorf("%w: nn: velocity flag %d is neither 0 nor 1", auerr.ErrCorruptModel, hasVel)
+	if hasVel := body[0]; hasVel > 1 {
+		return corruptState(fmt.Errorf("nn: velocity flag %d is neither 0 nor 1", hasVel))
+	} else if (hasVel == 1) != (s.velocity != nil) {
+		return corruptState(fmt.Errorf("nn: momentum configuration mismatch"))
 	}
-	if (hasVel == 1) != (s.velocity != nil) {
-		return fmt.Errorf("%w: nn: momentum configuration mismatch", auerr.ErrCorruptModel)
-	}
+	var sets [][][]float64
 	if s.velocity != nil {
-		if err := readTensorSet(r, datas(s.velocity)); err != nil {
-			return fmt.Errorf("%w: %w", auerr.ErrCorruptModel, err)
-		}
+		sets = append(sets, datas(s.velocity))
 	}
-	return checkStateEnd(r)
+	if err := checkTensorSets(body[1:], sets...); err != nil {
+		return corruptState(err)
+	}
+	readTensorSets(body[1:], sets...)
+	return nil
 }
 
 // MarshalOptState serializes the bound optimizer's mutable state, or an
@@ -241,11 +275,29 @@ func (n *Network) MarshalOptState() ([]byte, error) {
 
 // UnmarshalOptState restores optimizer state previously produced by
 // MarshalOptState into the bound optimizer. Mismatched or corrupt bytes
-// return an error wrapping auerr.ErrCorruptModel.
+// return an error wrapping auerr.ErrCorruptModel and leave the
+// optimizer as it was.
 func (n *Network) UnmarshalOptState(data []byte) error {
 	so, ok := n.opt.(StatefulOptimizer)
 	if !ok {
 		return auerr.E(auerr.ErrNotMaterialized, "nn: no stateful optimizer bound")
 	}
 	return so.UnmarshalState(data)
+}
+
+// UnmarshalTrainingState restores a MarshalParams image and a
+// MarshalOptState image together, as a resumed fit needs them: both are
+// checked before either is written, so when one is rejected the
+// parameters, the moments and the step counter all stay as they were.
+// Failures wrap auerr.ErrCorruptModel, or auerr.ErrNotMaterialized when
+// no stateful optimizer is bound.
+func (n *Network) UnmarshalTrainingState(params, optState []byte) error {
+	if err := n.checkParams(params); err != nil {
+		return err
+	}
+	if err := n.UnmarshalOptState(optState); err != nil {
+		return err
+	}
+	n.unmarshalParams(params, true)
+	return nil
 }

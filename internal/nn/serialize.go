@@ -60,17 +60,31 @@ func (n *Network) MarshalParams() ([]byte, error) {
 // rebuilt from the same au_config annotation). It decodes data in place,
 // allocating nothing, and ignores bytes after the image. Truncated,
 // garbage or architecture-mismatched bytes return an error wrapping
-// auerr.ErrCorruptModel; the network's parameters may be partially
-// overwritten in that case and should not be used without a successful
-// reload.
+// auerr.ErrCorruptModel and leave the parameters as they were: the
+// whole image is checked before the first value is written.
 func (n *Network) UnmarshalParams(data []byte) error {
-	if err := n.unmarshalParams(data); err != nil {
+	if err := n.checkParams(data); err != nil {
+		return err
+	}
+	n.unmarshalParams(data, true)
+	return nil
+}
+
+// checkParams validates a MarshalParams image against the network
+// without writing anything, wrapping any failure in
+// auerr.ErrCorruptModel.
+func (n *Network) checkParams(data []byte) error {
+	if err := n.unmarshalParams(data, false); err != nil {
 		return fmt.Errorf("%w: %w", auerr.ErrCorruptModel, err)
 	}
 	return nil
 }
 
-func (n *Network) unmarshalParams(data []byte) error {
+// unmarshalParams walks a MarshalParams image, checking every header and
+// length against the network, and copies the values into the parameters
+// only when apply is set. Run once with apply unset, it is the whole
+// check; the applying pass then cannot fail.
+func (n *Network) unmarshalParams(data []byte, apply bool) error {
 	if len(data) < 12 {
 		return fmt.Errorf("nn: header truncated at %d bytes", len(data))
 	}
@@ -103,8 +117,10 @@ func (n *Network) unmarshalParams(data []byte) error {
 		if len(data) < 8*len(vals) {
 			return fmt.Errorf("nn: data of tensor %d truncated", i)
 		}
-		for j := range vals {
-			vals[j] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*j:]))
+		if apply {
+			for j := range vals {
+				vals[j] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*j:]))
+			}
 		}
 		data = data[8*len(vals):]
 	}

@@ -1,9 +1,9 @@
 // Package parallel provides the shared worker pool behind Autonomizer's
-// parallel execution layer. The paper's runtime spends nearly all of its
-// time inside model training and query calls (au_NN / au_write_back
-// dominate its Tables 2–3); our from-scratch nn/tensor substitute runs
-// those kernels on this pool so the hot path scales with the machine
-// instead of pinning one core.
+// parallel execution layer. It shards independent units of work: the
+// serving engine's batch shards (internal/serve) and the evaluation
+// rollouts' episodes (env.ParallelAverageScore). The numeric kernels
+// in internal/tensor stay sequential; on the networks the system builds
+// a single kernel call is too small to be worth sharding.
 //
 // Design:
 //
@@ -16,9 +16,9 @@
 //   - The *configured width* (Workers) and the *physical pool* are
 //     deliberately distinct. Width controls how a range is sharded and is
 //     part of the deterministic contract callers rely on; the pool only
-//     controls how many shards physically run at once. Sharding writes to
-//     disjoint output regions in every kernel built on this package, so
-//     results are bit-identical at any width on any machine.
+//     controls how many shards physically run at once. Every caller's
+//     shards write disjoint outputs that are reduced in a fixed order,
+//     so results are bit-identical at any width on any machine.
 //
 // The default width is GOMAXPROCS, overridable by the
 // AUTONOMIZER_WORKERS environment variable and programmatically by
@@ -109,25 +109,11 @@ func (b *panicBox) rethrow() {
 	}
 }
 
-// forState bundles the WaitGroup and panicBox a multi-chunk For shares
-// with its shards. Both are referenced from pooled helper goroutines, so
-// they escape to the heap; recycling the pair through a sync.Pool keeps
-// steady-state parallel kernels at zero allocations per call. Reuse is
-// safe because task.run signals the WaitGroup only after its panicBox
-// store (deferred later, so run earlier), so by the time Wait returns no
-// shard touches the state again.
-type forState struct {
-	wg  sync.WaitGroup
-	pnc panicBox
-}
-
-var forStates = sync.Pool{New: func() any { return new(forState) }}
-
 // poolMetrics holds the worker-pool instruments (tasks queued/running,
 // chunk counts, queue wait). They are resolved lazily on the first
 // multi-chunk For call after telemetry is enabled; while disabled,
 // metrics() returns nil and every use below short-circuits, keeping the
-// kernel hot path free of clock reads and allocations.
+// dispatch path free of clock reads.
 type poolMetrics struct {
 	chunks  *obs.Counter
 	running *obs.Gauge
@@ -230,13 +216,7 @@ func ensurePool(n int) {
 // disjoint outputs are bit-identical at any width.
 //
 // Small ranges (n <= grain) and width 1 run inline with zero overhead,
-// which is the sequential fallback below the size cutoff.
-//
-// fn escapes (shards run on pooled goroutines), so a closure literal at
-// the call site heap-allocates its header on every call even when the
-// range runs inline. Steady-state zero-allocation callers keep one
-// persistent closure over mutable per-call fields (see
-// tensor.ConvKernel) instead of building a fresh closure per call.
+// which is the sequential fallback for ranges too small to split.
 func For(n, grain int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return
@@ -262,9 +242,9 @@ func For(n, grain int, fn func(lo, hi int)) {
 	if m != nil {
 		m.chunks.Add(uint64(chunks))
 	}
-	st := forStates.Get().(*forState)
-	st.pnc.val, st.pnc.set = nil, false
-	st.wg.Add(chunks)
+	var wg sync.WaitGroup
+	var pnc panicBox
+	wg.Add(chunks)
 	// Even split: the first (n % chunks) chunks get one extra element.
 	base, rem := n/chunks, n%chunks
 	lo := 0
@@ -273,7 +253,7 @@ func For(n, grain int, fn func(lo, hi int)) {
 		if c < rem {
 			hi++
 		}
-		t := task{fn: fn, lo: lo, hi: hi, wg: &st.wg, pnc: &st.pnc, m: m}
+		t := task{fn: fn, lo: lo, hi: hi, wg: &wg, pnc: &pnc, m: m}
 		if c == chunks-1 {
 			// Run the last chunk on the calling goroutine: the caller
 			// always contributes instead of idling at Wait.
@@ -293,14 +273,8 @@ func For(n, grain int, fn func(lo, hi int)) {
 		}
 		lo = hi
 	}
-	st.wg.Wait()
+	wg.Wait()
 	// A panic in any shard resurfaces here, on the calling goroutine,
 	// where the runtime's recover boundary can convert it to an error.
-	// Read the box before recycling the state, then rethrow.
-	r, set := st.pnc.val, st.pnc.set
-	st.pnc.val = nil
-	forStates.Put(st)
-	if set {
-		panic(r)
-	}
+	pnc.rethrow()
 }

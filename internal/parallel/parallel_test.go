@@ -6,6 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"github.com/autonomizer/autonomizer/internal/auerr"
 )
 
 // TestForCoversRange checks every element is visited exactly once for a
@@ -108,4 +110,57 @@ func TestSetWorkersClamp(t *testing.T) {
 	if Workers() != prev {
 		t.Errorf("restore failed: %d vs %d", Workers(), prev)
 	}
+}
+
+func TestParseWorkers(t *testing.T) {
+	cases := []struct {
+		in   string
+		want int
+		ok   bool
+	}{
+		{"4", 4, true},
+		{" 2 ", 2, true},
+		{"1", 1, true},
+		{"0", 0, false},
+		{"-3", 0, false},
+		{"eight", 0, false},
+		{"4.5", 0, false},
+		{"", 0, false},
+	}
+	for _, c := range cases {
+		n, err := parseWorkers(c.in)
+		if c.ok && (err != nil || n != c.want) {
+			t.Errorf("parseWorkers(%q) = (%d, %v), want (%d, nil)", c.in, n, err, c.want)
+		}
+		if !c.ok && err == nil {
+			t.Errorf("parseWorkers(%q) accepted, want error", c.in)
+		}
+	}
+}
+
+func TestDefaultWorkersRejectsGarbageEnv(t *testing.T) {
+	for _, bad := range []string{"banana", "-1", "0"} {
+		t.Setenv("AUTONOMIZER_WORKERS", bad)
+		if got := defaultWorkers(); got < 1 {
+			t.Errorf("defaultWorkers() with AUTONOMIZER_WORKERS=%q = %d, want >= 1 (GOMAXPROCS fallback)", bad, got)
+		}
+	}
+	t.Setenv("AUTONOMIZER_WORKERS", "3")
+	if got := defaultWorkers(); got != 3 {
+		t.Errorf("defaultWorkers() with AUTONOMIZER_WORKERS=3 = %d", got)
+	}
+}
+
+func TestForReraisesShardPanicOnCaller(t *testing.T) {
+	defer SetWorkers(SetWorkers(4))
+	defer func() {
+		if r := recover(); r == nil {
+			t.Fatal("panic from shard was not rethrown on the caller")
+		}
+	}()
+	For(64, 1, func(lo, hi int) {
+		if lo == 0 {
+			auerr.Failf("parallel test: shard invariant")
+		}
+	})
 }

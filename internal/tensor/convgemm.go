@@ -7,18 +7,22 @@
 // tile-by-tile into cache-resident pack buffers and fed straight to the
 // dispatched micro-kernel. The column matrix is never built:
 //
-//   - Forward: out = W × cols. Output column panels are sharded over the
-//     pool; each shard gathers its own nr-wide B-panels with packConvCols
-//     and aims gebpTile at its slice of the output feature map.
+//   - Forward: out = W × cols. Blocks of nr-wide B-panels are gathered
+//     with packConvCols into an L1-resident buffer, and gebpTile is
+//     aimed at the matching slice of the output feature map.
 //
-//   - gradW: gradWProd = g × colsᵀ. Weight-column panels are sharded;
-//     each shard gathers colsᵀ-panels with packConvColsT (same gather,
-//     transposed write) and multiplies against the once-packed g.
+//   - gradW: gradWProd = g × colsᵀ. Every colsᵀ-panel is gathered with
+//     packConvColsT (same gather, transposed write) and multiplied
+//     against the packed g.
 //
-//   - gradIn: cols-gradient stripes per input channel, gebpTile into a
-//     per-worker stripe, then a fused col2im-accumulate scatter
+//   - gradIn: cols-gradient stripes per input channel, gebpTile into the
+//     kernel's stripe buffer, then a fused col2im-accumulate scatter
 //     (scatterConvChannel) with run-clipped bounds instead of per-element
 //     branches.
+//
+// The kernels run sequentially: on the geometries the system builds
+// (the DeepMind CNN over 16×16 screens) a conv call is too small to
+// shard, so parallelism lives above the network instead.
 //
 // Determinism contract: every output element's fold is unchanged from
 // the materialized reference compositions in the package tests —
@@ -26,18 +30,14 @@
 // the im2col matrix times the naive matmul, gradW folds ascending output
 // position exactly like the a×bᵀ reference loop, and gradIn folds
 // ascending output channel then scatters in the col2im reference's
-// exact ch→ky→kx→oy→ox order. Sharding only chooses which tiles compute
+// exact ch→ky→kx→oy→ox order. Blocking only chooses which tiles compute
 // when. Padding gathers as explicit zeros (never skipped: 0×NaN must
 // stay NaN), and pack-buffer pad lanes only feed accumulators that
-// clipped stores drop. Enforced bit-for-bit by convgemm_test.go across shapes,
-// widths and kernel implementations.
+// clipped stores drop. Enforced bit-for-bit by convgemm_test.go across
+// shapes and kernel implementations.
 package tensor
 
-import (
-	"fmt"
-
-	"github.com/autonomizer/autonomizer/internal/parallel"
-)
+import "fmt"
 
 // ConvGeom is the fixed geometry of one convolution: input planes,
 // kernel taps, stride/padding, and the derived output extent. The
@@ -447,18 +447,18 @@ const maxPanelNR = 16
 
 // convPackBlockFloats is the target pack-buffer size, in floats, for one
 // forward gather block (~16 KiB). Panels are gathered and multiplied in
-// blocks of this size so the pack buffer stays L1-resident: gathering an
-// entire shard's panels first (hundreds of KiB on real geometries) would
+// blocks of this size so the pack buffer stays L1-resident: gathering
+// every panel first (hundreds of KiB on real geometries) would
 // evict every panel before the GEBP kernel read it back. Blocking only
 // groups whole panels — each output column's fold still happens inside a
 // single gebpTile call — so results are unchanged bit for bit.
 const convPackBlockFloats = 2048
 
 // convPackBlock returns how many nr-wide panels of contraction length K
-// fit the pack-buffer budget (at least one). When panels tile output
-// rows exactly, the block is rounded up to whole rows: every
-// contraction-row pass over the block then runs full rows only, with no
-// mid-row clamp handling.
+// fit the pack-buffer budget: at least one, at most the geometry's
+// panel count. When panels tile output rows exactly, the block is
+// rounded up to whole rows: every contraction-row pass over the block
+// then runs full rows only, with no mid-row clamp handling.
 func convPackBlock(g *ConvGeom, nr int) int {
 	b := convPackBlockFloats / (g.K() * nr)
 	if b < 1 {
@@ -467,50 +467,56 @@ func convPackBlock(g *ConvGeom, nr int) int {
 	if ppr := g.OutW / nr; ppr > 0 && g.OutW%nr == 0 {
 		b = (b + ppr - 1) / ppr * ppr
 	}
+	if panels := (g.Cols() + nr - 1) / nr; b > panels {
+		b = panels
+	}
 	return b
 }
 
-// convGrain returns a panel/channel sharding grain for units of the
-// given per-unit cost: enough units per chunk that each chunk is at
-// least one matMulCutoff worth of work. Depends only on the geometry, so
-// chunk boundaries are fixed per kernel at any width.
-func convGrain(unitCost int) int {
-	if g := matMulCutoff / (unitCost + 1); g > 1 {
-		return g
+// convForward is the forward block loop shared by the training and the
+// compiled path: gather blk column panels of the implicit column matrix
+// into packedCols (blk·K·nr floats, L1-resident), then aim the GEBP
+// tile at the matching slice of the (OutC × N) output. w is the
+// row-major filter matrix, read only for the ragged row tail past its
+// full microM-row blocks in packedW.
+func convForward(impl *kernelImpl, g *ConvGeom, blk int, out, in, w, packedW, packedCols []float64) {
+	k, n, nr := g.K(), g.Cols(), impl.nr
+	panels := (n + nr - 1) / nr
+	for b := 0; b < panels; b += blk {
+		bHi := b + blk
+		if bHi > panels {
+			bHi = panels
+		}
+		packConvCols(packedCols, in, g, nr, b, bHi)
+		colLo := b * nr
+		colHi := bHi * nr
+		if colHi > n {
+			colHi = n
+		}
+		impl.gebpTile(out[colLo:], n, w, packedW, packedCols, g.OutC, k, colHi-colLo)
 	}
-	return 1
 }
 
 // ConvKernel is the implicit-GEMM execution state for one convolution
-// geometry on the training path. It exists to make steady-state
-// Forward/Backward allocation-free at any worker width: the shard
-// bodies are built once as persistent closures over the kernel's
-// mutable per-call fields (a closure literal at each call site would
-// heap-allocate its header per call, because parallel.For's fn
-// escapes), and all transient buffers come from the shared Scratch
-// arena. A ConvKernel is owned by one layer and is not goroutine-safe;
-// the parallelism inside a call shards over disjoint output tiles.
+// geometry on the training path. It runs sequentially — parallelism
+// lives above the network, in the serving engine's shards and the
+// evaluation rollouts — and owns every buffer its calls need, sized
+// from the geometry when it is built, so steady-state Forward/Backward
+// allocate nothing. A ConvKernel is owned by one layer and is not
+// goroutine-safe.
 type ConvKernel struct {
 	g    ConvGeom
 	impl *kernelImpl
+	blk  int // panels per cache-resident forward gather block
 
-	// Fixed sharding geometry, derived from g at construction.
-	fwdPanels, fwdGrain int
-	fwdBlock            int // panels per cache-resident gather block
-	wPanels, wGrain     int
-	chGrain             int
-
-	// Per-call operands, set by Forward/Backward before dispatching the
-	// persistent shard closures, cleared after.
-	in, w, out    []float64
-	gout          []float64
-	gradW, gradIn []float64
-	packedW       []float64 // forward: W's full row blocks
-	packedG       []float64 // backward gradIn: g_out column panels
-	packedGA      []float64 // backward gradW: g_out full row blocks
-	fwdShard      func(lo, hi int)
-	bwdChShard    func(lo, hi int)
-	bwdWShard     func(lo, hi int)
+	packedW     []float64 // forward: W's full microM-row blocks
+	packedCols  []float64 // forward: one gather block of column panels
+	packedColsT []float64 // backward gradW: every colsᵀ panel
+	packedGA    []float64 // backward gradW: g_out's full microM-row blocks
+	packedG     []float64 // backward gradIn: g_out's column panels
+	wT          []float64 // backward gradIn: one channel's transposed weights
+	packedWT    []float64 // backward gradIn: wT's row blocks
+	stripe      []float64 // backward gradIn: one channel's cols-gradient stripe
 }
 
 // NewConvKernel builds the implicit-GEMM kernel for a geometry using the
@@ -522,154 +528,53 @@ func NewConvKernel(g ConvGeom) *ConvKernel {
 // newConvKernel is the implementation-injection constructor the
 // bit-identity tests use to exercise every kernelImpl explicitly.
 func newConvKernel(g ConvGeom, impl *kernelImpl) *ConvKernel {
-	k, n := g.K(), g.Cols()
-	nr := impl.nr
-	taps := g.KH * g.KW
+	k, n, nr := g.K(), g.Cols(), impl.nr
+	blocks := g.OutC / microM
+	// The input-gradient pass pads the tap count to whole microM rows
+	// (see backwardInput).
+	mPad := (g.KH*g.KW + microM - 1) / microM * microM
 	ck := &ConvKernel{
 		g: g, impl: impl,
-		fwdPanels: (n + nr - 1) / nr,
-		fwdGrain:  convGrain(nr * k * g.OutC),
-		fwdBlock:  convPackBlock(&g, nr),
-		wPanels:   (k + nr - 1) / nr,
-		wGrain:    convGrain(nr * n * g.OutC),
-		chGrain:   convGrain(taps * g.OutC * n),
+		blk:         convPackBlock(&g, nr),
+		packedW:     make([]float64, blocks*microM*k),
+		packedColsT: make([]float64, (k+nr-1)/nr*n*nr),
+		packedGA:    make([]float64, blocks*microM*n),
+		packedG:     make([]float64, (n+nr-1)/nr*nr*g.OutC),
+		wT:          make([]float64, mPad*g.OutC),
+		packedWT:    make([]float64, mPad*g.OutC),
+		stripe:      make([]float64, mPad*n),
 	}
-	ck.fwdShard = ck.runFwdShard
-	ck.bwdChShard = ck.runBwdChShard
-	ck.bwdWShard = ck.runBwdWShard
+	ck.packedCols = make([]float64, ck.blk*k*nr)
 	return ck
 }
 
 // Geom returns the kernel's fixed geometry.
 func (ck *ConvKernel) Geom() ConvGeom { return ck.g }
 
-// runFwdShard computes output column panels [pLo, pHi): gather the
-// panels' receptive-field columns into an L1-resident pack buffer, one
-// convPackBlock-sized block at a time, aiming the GEBP tile kernel at
-// the corresponding slice of the (OutC × N) output after each gather.
-func (ck *ConvKernel) runFwdShard(pLo, pHi int) {
-	g := &ck.g
-	k, n, nr := g.K(), g.Cols(), ck.impl.nr
-	blk := ck.fwdBlock
-	if blk > pHi-pLo {
-		blk = pHi - pLo
-	}
-	pb := Scratch.Get(blk * k * nr)
-	local := *pb
-	for b := pLo; b < pHi; b += blk {
-		bHi := b + blk
-		if bHi > pHi {
-			bHi = pHi
-		}
-		packConvCols(local, ck.in, g, nr, b, bHi)
-		colLo := b * nr
-		colHi := bHi * nr
-		if colHi > n {
-			colHi = n
-		}
-		ck.impl.gebpTile(ck.out[colLo:], n, ck.w, ck.packedW, local, g.OutC, k, colHi-colLo)
-	}
-	Scratch.Put(pb)
-}
-
-// runBwdWShard computes weight-gradient column panels [pLo, pHi) of
-// gradWProd = g_out × colsᵀ: gather the transposed column panels and
-// multiply against the once-packed g_out. Each shard writes a disjoint
-// column slice of the (OutC × K) product; the per-element fold over all
-// N positions happens inside one gebpTile call, so sharding never
-// touches it.
-func (ck *ConvKernel) runBwdWShard(pLo, pHi int) {
-	g := &ck.g
-	k, n, nr := g.K(), g.Cols(), ck.impl.nr
-	pb := Scratch.Get((pHi - pLo) * n * nr)
-	local := *pb
-	packConvColsT(local, ck.in, g, nr, pLo, pHi)
-	colLo := pLo * nr
-	colHi := pHi * nr
-	if colHi > k {
-		colHi = k
-	}
-	ck.impl.gebpTile(ck.gradW[colLo:], k, ck.gout, ck.packedGA, local, g.OutC, n, colHi-colLo)
-	Scratch.Put(pb)
-}
-
-// runBwdChShard computes the input gradient for channels [chLo, chHi).
-// Per channel: materialize the tiny (KH·KW × OutC) transposed weight
-// block, GEBP it against the once-packed g_out into a per-worker
-// cols-gradient stripe (fold ascending output channel, exactly the
-// aᵀ×b reference loop's order), then scatter the stripe onto the
-// channel's input plane in the col2im reference's order.
-func (ck *ConvKernel) runBwdChShard(chLo, chHi int) {
-	g := &ck.g
-	k, n := g.K(), g.Cols()
-	taps := g.KH * g.KW
-	outC := g.OutC
-	// Pad the row count to whole microM blocks with zero rows: the GEBP
-	// kernel then runs full register tiles only (no scalar ragged-row
-	// tail, which otherwise fires once per panel for small tap counts).
-	// The pad rows compute zeros into stripe rows the scatter never
-	// reads; rows [0, taps) fold exactly as before.
-	mPad := (taps + microM - 1) / microM * microM
-	blocks := mPad / microM
-	ps := Scratch.Get(mPad * n)
-	stripe := *ps
-	pl := Scratch.Get(mPad*outC + blocks*microM*outC)
-	local := *pl
-	la := local[:mPad*outC]
-	lp := local[mPad*outC:]
-	for i := taps * outC; i < mPad*outC; i++ {
-		la[i] = 0
-	}
-	for ch := chLo; ch < chHi; ch++ {
-		for t := 0; t < taps; t++ {
-			col := ch*taps + t
-			for oc := 0; oc < outC; oc++ {
-				la[t*outC+oc] = ck.w[oc*k+col]
-			}
-		}
-		packRows(lp, la, outC, blocks)
-		ck.impl.gebpTile(stripe, n, la, lp, ck.packedG, mPad, outC, n)
-		scatterConvChannel(ck.gradIn, stripe, g, ch)
-	}
-	Scratch.Put(pl)
-	Scratch.Put(ps)
-}
-
 // Forward computes out = W × im2col(in) without materializing the
 // column matrix. in is (InC·InH·InW), w is the row-major (OutC × K)
 // filter matrix, out is the (OutC × N) pre-bias output. Weights are
 // packed per call (the training path mutates them every step); the
-// compiled serving path prepacks once via PrepackConv instead. Output
-// column panels shard over the worker pool; results are bit-identical
-// to the materialized im2col-plus-naive-matmul reference at any width.
+// compiled serving path prepacks once via PrepackConv instead. Results
+// are bit-identical to the materialized im2col-plus-naive-matmul
+// reference.
 func (ck *ConvKernel) Forward(out, in, w []float64) {
 	g := &ck.g
-	k, n := g.K(), g.Cols()
 	ck.checkOperand("in", in, g.InC*g.InH*g.InW)
-	ck.checkOperand("w", w, g.OutC*k)
-	ck.checkOperand("out", out, g.OutC*n)
-	var pw *[]float64
-	if blocks := g.OutC / microM; blocks > 0 {
-		pw = Scratch.Get(blocks * microM * k)
-		packRows(*pw, w, k, blocks)
-		ck.packedW = *pw
-	} else {
-		ck.packedW = nil
-	}
-	ck.in, ck.w, ck.out = in, w, out
-	parallel.For(ck.fwdPanels, ck.fwdGrain, ck.fwdShard)
-	ck.in, ck.w, ck.out, ck.packedW = nil, nil, nil, nil
-	Scratch.Put(pw)
+	ck.checkOperand("w", w, g.OutC*g.K())
+	ck.checkOperand("out", out, g.OutC*g.Cols())
+	packRows(ck.packedW, w, g.K(), g.OutC/microM)
+	convForward(ck.impl, g, ck.blk, out, in, w, ck.packedW, ck.packedCols)
 }
 
 // Backward computes the weight-gradient product gradWProd = g_out ×
 // im2col(in)ᵀ (overwritten, formed from zero — the caller adds it into
 // the accumulated gradient, one example at a time) and the input
-// gradient gradIn (overwritten), without
-// materializing the column matrix or its gradient. gout is the
-// (OutC × N) output gradient; in must be the same buffer passed to the
-// matching Forward. Bit-identical to the materialized a×bᵀ and
-// aᵀ×b-plus-col2im reference compositions at any width.
+// gradient gradIn (overwritten), without materializing the column
+// matrix or its gradient. gout is the (OutC × N) output gradient; in
+// must be the same buffer passed to the matching Forward. Bit-identical
+// to the materialized a×bᵀ and aᵀ×b-plus-col2im reference
+// compositions.
 //
 // A nil gradIn skips the input gradient: neither g_out's column panels,
 // which only that product reads, nor the per-channel pass run. A
@@ -677,37 +582,53 @@ func (ck *ConvKernel) Forward(out, in, w []float64) {
 // depend on it.
 func (ck *ConvKernel) Backward(gradWProd, gradIn, in, w, gout []float64) {
 	g := &ck.g
-	k, n := g.K(), g.Cols()
+	k, n, nr := g.K(), g.Cols(), ck.impl.nr
 	ck.checkOperand("in", in, g.InC*g.InH*g.InW)
 	ck.checkOperand("w", w, g.OutC*k)
 	ck.checkOperand("gout", gout, g.OutC*n)
 	ck.checkOperand("gradWProd", gradWProd, g.OutC*k)
-	var pg *[]float64
 	if gradIn != nil {
 		ck.checkOperand("gradIn", gradIn, g.InC*g.InH*g.InW)
-		nr := ck.impl.nr
-		panels := (n + nr - 1) / nr
-		pg = Scratch.Get(panels * nr * g.OutC)
-		packPanels(*pg, gout, g.OutC, n, nr)
-		ck.packedG = *pg
+		packPanels(ck.packedG, gout, g.OutC, n, nr)
+		ck.backwardInput(gradIn, w)
 	}
-	var pga *[]float64
-	if blocks := g.OutC / microM; blocks > 0 {
-		pga = Scratch.Get(blocks * microM * n)
-		packRows(*pga, gout, n, blocks)
-		ck.packedGA = *pga
-	} else {
-		ck.packedGA = nil
+	// gradWProd: gather every colsᵀ panel and multiply against g_out's
+	// row blocks. Each element folds over all N positions inside the
+	// one gebpTile call.
+	packRows(ck.packedGA, gout, n, g.OutC/microM)
+	packConvColsT(ck.packedColsT, in, g, nr, 0, (k+nr-1)/nr)
+	ck.impl.gebpTile(gradWProd, k, gout, ck.packedGA, ck.packedColsT, g.OutC, n, k)
+}
+
+// backwardInput forms the input gradient one channel at a time from the
+// packed g_out column panels. Per channel: materialize the tiny
+// (KH·KW × OutC) transposed weight block, GEBP it against g_out into the
+// cols-gradient stripe (fold ascending output channel, exactly the aᵀ×b
+// reference loop's order), then scatter the stripe onto the channel's
+// input plane in the col2im reference's order.
+func (ck *ConvKernel) backwardInput(gradIn, w []float64) {
+	g := &ck.g
+	k, n := g.K(), g.Cols()
+	taps := g.KH * g.KW
+	outC := g.OutC
+	// The row count is padded to whole microM blocks with zero rows: the
+	// GEBP kernel then runs full register tiles only (no scalar
+	// ragged-row tail, which otherwise fires once per panel for small
+	// tap counts). The pad rows compute zeros into stripe rows the
+	// scatter never reads; rows [0, taps) fold exactly as before. The
+	// pad rows of wT stay zero from construction.
+	mPad := len(ck.wT) / outC
+	for ch := 0; ch < g.InC; ch++ {
+		for t := 0; t < taps; t++ {
+			col := ch*taps + t
+			for oc := 0; oc < outC; oc++ {
+				ck.wT[t*outC+oc] = w[oc*k+col]
+			}
+		}
+		packRows(ck.packedWT, ck.wT, outC, mPad/microM)
+		ck.impl.gebpTile(ck.stripe, n, ck.wT, ck.packedWT, ck.packedG, mPad, outC, n)
+		scatterConvChannel(gradIn, ck.stripe, g, ch)
 	}
-	ck.in, ck.w, ck.gout, ck.gradW, ck.gradIn = in, w, gout, gradWProd, gradIn
-	if gradIn != nil {
-		parallel.For(ck.g.InC, ck.chGrain, ck.bwdChShard)
-	}
-	parallel.For(ck.wPanels, ck.wGrain, ck.bwdWShard)
-	ck.in, ck.w, ck.gout, ck.gradW, ck.gradIn = nil, nil, nil, nil, nil
-	ck.packedG, ck.packedGA = nil, nil
-	Scratch.Put(pga)
-	Scratch.Put(pg)
 }
 
 func (ck *ConvKernel) checkOperand(name string, s []float64, want int) {
@@ -737,14 +658,10 @@ func PrepackConv(w *Tensor, g ConvGeom) *PackedConv {
 		panic(fmt.Sprintf("tensor: PrepackConv weights %v, want [%d %d]", shape, g.OutC, g.K()))
 	}
 	p := &PackedConv{g: g, w: append([]float64(nil), w.Data()...)}
-	if blocks := g.OutC / microM; blocks > 0 {
-		p.packedW = make([]float64, blocks*microM*g.K())
-		packRows(p.packedW, p.w, g.K(), blocks)
-	}
+	blocks := g.OutC / microM
+	p.packedW = make([]float64, blocks*microM*g.K())
+	packRows(p.packedW, p.w, g.K(), blocks)
 	p.blk = convPackBlock(&p.g, kern.nr)
-	if panels := (g.Cols() + kern.nr - 1) / kern.nr; p.blk > panels {
-		p.blk = panels
-	}
 	return p
 }
 
@@ -757,36 +674,21 @@ func (p *PackedConv) PackedColsLen() int {
 	return p.blk * p.g.K() * kern.nr
 }
 
-// Forward computes the pre-bias (OutC × N) output sequentially — the
-// compiled-plan contract puts parallelism above the plan — gathering
-// the input's receptive-field columns into the caller-owned packedCols
-// scratch (length ≥ PackedColsLen) and running one GEBP over the
-// prepacked filters. No allocation, no weight packing, bit-identical to
-// the training path and the naive reference.
+// Forward computes the pre-bias (OutC × N) output, gathering the
+// input's receptive-field columns into the caller-owned packedCols
+// scratch (length ≥ PackedColsLen) and running the shared block loop
+// over the prepacked filters. No allocation, no weight packing,
+// bit-identical to the training path and the naive reference.
 func (p *PackedConv) Forward(out, in, packedCols []float64) {
 	g := &p.g
-	k, n, nr := g.K(), g.Cols(), kern.nr
 	if len(in) != g.InC*g.InH*g.InW {
 		panic(fmt.Sprintf("tensor: PackedConv input %d, want %d", len(in), g.InC*g.InH*g.InW))
 	}
-	if len(out) != g.OutC*n {
-		panic(fmt.Sprintf("tensor: PackedConv output %d, want %d", len(out), g.OutC*n))
+	if len(out) != g.OutC*g.Cols() {
+		panic(fmt.Sprintf("tensor: PackedConv output %d, want %d", len(out), g.OutC*g.Cols()))
 	}
 	if need := p.PackedColsLen(); len(packedCols) < need {
 		panic(fmt.Sprintf("tensor: PackedConv scratch %d, need %d", len(packedCols), need))
 	}
-	panels := (n + nr - 1) / nr
-	for b := 0; b < panels; b += p.blk {
-		bHi := b + p.blk
-		if bHi > panels {
-			bHi = panels
-		}
-		packConvCols(packedCols, in, g, nr, b, bHi)
-		colLo := b * nr
-		colHi := bHi * nr
-		if colHi > n {
-			colHi = n
-		}
-		kern.gebpTile(out[colLo:], n, p.w, p.packedW, packedCols, g.OutC, k, colHi-colLo)
-	}
+	convForward(kern, g, p.blk, out, in, p.w, p.packedW, packedCols)
 }

@@ -18,8 +18,10 @@ type convCase struct {
 // kernels (pure channel mix), strides 2 and 3 (the strided gather
 // path), pads 0–2 (zero-run prefixes/suffixes and all-padding rows),
 // non-square inputs and kernels, single-channel and 16-channel inputs,
-// output channel counts on and off the microM register block, and the
-// benchmark geometry whose blocks tile whole output rows.
+// output channel counts on and off the microM register block, the
+// benchmark geometry whose blocks tile whole output rows, and the three
+// layers of the DeepMind CNN on a 1×16×16 screen (nn.NewDeepMindCNN),
+// the geometries the training and serving paths actually run.
 var convCases = []convCase{
 	{"bench-3x3", 4, 32, 32, 3, 3, 1, 1, 8},
 	{"small-3x3", 1, 8, 8, 3, 3, 1, 1, 4},
@@ -31,6 +33,9 @@ var convCases = []convCase{
 	{"kernel-covers-input", 1, 5, 5, 5, 5, 1, 2, 2},
 	{"even-kernel-C16", 16, 9, 11, 2, 4, 2, 1, 12},
 	{"pad0-ragged-outc", 3, 16, 16, 3, 3, 1, 0, 7},
+	{"deepmind16-conv1", 1, 16, 16, 5, 5, 2, 2, 8},
+	{"deepmind16-conv2", 8, 4, 4, 3, 3, 1, 1, 16},
+	{"deepmind16-conv3", 16, 2, 2, 3, 3, 1, 1, 16},
 }
 
 // seedConv fills data with normal noise and plants the special values
@@ -76,9 +81,9 @@ func diffBits(got, want []float64) int {
 // the geometry table, every implementation, and widths {1, 2, 8},
 // comparing bit-for-bit against the materialized reference compositions
 // (Im2Col+MatMulNaiveInto forward; refABT and refATB+Col2ImInto
-// backward). This is the determinism contract
-// of DESIGN.md §5j: sharding and blocking choose when tiles compute,
-// never how an element folds.
+// backward). This is the determinism contract of DESIGN.md §5j:
+// blocking chooses when tiles compute, never how an element folds, and
+// the configured worker width never enters the kernel at all.
 func TestConvKernelBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for _, tc := range convCases {

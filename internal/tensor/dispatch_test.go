@@ -18,10 +18,22 @@ func TestKernelSelected(t *testing.T) {
 	}
 }
 
+// gebpPacks holds gebpVia's pack buffers between calls, so the
+// benchmarks that loop over it time the multiply rather than the
+// allocator. The package's tests do not run in parallel.
+var gebpPacks struct{ a, b []float64 }
+
+// growPack returns s resliced to n elements, reallocated when its
+// capacity falls short.
+func growPack(s []float64, n int) []float64 {
+	if cap(s) < n {
+		return make([]float64, n)
+	}
+	return s[:n]
+}
+
 // gebpVia computes dst = a×b through impl's packing geometry and a
-// single gebpTile call, sequentially, drawing the pack buffers from the
-// Scratch arena: the work a packed, blocked matmul does at worker
-// width 1.
+// single gebpTile call: the work a packed, blocked matmul does.
 func gebpVia(impl *kernelImpl, dst, a, b *Tensor) *Tensor {
 	m, k, n := matMulDims(a, b)
 	checkDst(dst, m, n)
@@ -32,14 +44,13 @@ func gebpVia(impl *kernelImpl, dst, a, b *Tensor) *Tensor {
 		dst.Fill(0)
 		return dst
 	}
-	pb := Scratch.Get((n + impl.nr - 1) / impl.nr * impl.nr * k)
-	packPanels(*pb, b.data, k, n, impl.nr)
+	pb := growPack(gebpPacks.b, (n+impl.nr-1)/impl.nr*impl.nr*k)
+	packPanels(pb, b.data, k, n, impl.nr)
 	blocks := m / microM
-	pa := Scratch.Get(blocks * microM * k)
-	packRows(*pa, a.data, k, blocks)
-	impl.gebpTile(dst.data, n, a.data, *pa, *pb, m, k, n)
-	Scratch.Put(pa)
-	Scratch.Put(pb)
+	pa := growPack(gebpPacks.a, blocks*microM*k)
+	packRows(pa, a.data, k, blocks)
+	gebpPacks.a, gebpPacks.b = pa, pb
+	impl.gebpTile(dst.data, n, a.data, pa, pb, m, k, n)
 	return dst
 }
 

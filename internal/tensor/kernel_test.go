@@ -111,48 +111,6 @@ func TestKernelDstValidation(t *testing.T) {
 	MatMulNaiveInto(New(3, 4), New(3, 4), New(4, 5))
 }
 
-// TestArenaReuse checks the size-class arithmetic and that a returned
-// buffer is actually recycled (same backing array on the next Get of the
-// same class).
-func TestArenaReuse(t *testing.T) {
-	ar := NewArena()
-	p := ar.Get(100)
-	if len(*p) != 100 {
-		t.Fatalf("Get(100) len = %d", len(*p))
-	}
-	if cap(*p) != 128 {
-		t.Fatalf("Get(100) cap = %d, want the 128 size class", cap(*p))
-	}
-	(*p)[0] = 42
-	ar.Put(p)
-	q := ar.Get(128) // same class: must reuse the pooled buffer
-	// sync.Pool drops items at random under the race runtime, so the
-	// identity assertion only holds in a normal build.
-	if !raceEnabled && q != p {
-		t.Errorf("Get after Put did not recycle the buffer")
-	}
-	if len(*q) != 128 {
-		t.Errorf("Get(128) len = %d", len(*q))
-	}
-
-	// Tiny requests round up to the smallest class.
-	s := ar.Get(1)
-	if cap(*s) != arenaMinClass {
-		t.Errorf("Get(1) cap = %d, want %d", cap(*s), arenaMinClass)
-	}
-	// Oversized requests fall through to plain make and are not pooled.
-	huge := 1<<arenaMaxBits + 1
-	h := ar.Get(huge)
-	if len(*h) != huge {
-		t.Errorf("oversized Get len = %d, want %d", len(*h), huge)
-	}
-	ar.Put(h)   // dropped, must not corrupt a class
-	ar.Put(nil) // no-op
-	if got := ar.Get(64); cap(*got) != 64 {
-		t.Errorf("smallest class cap = %d after oversized Put", cap(*got))
-	}
-}
-
 // TestReuse checks the layer-scratch primitive: recycle when capacity
 // suffices, allocate otherwise.
 func TestReuse(t *testing.T) {

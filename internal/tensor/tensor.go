@@ -9,12 +9,11 @@
 // Operations either return fresh tensors or write into caller-supplied
 // destinations; nothing here is goroutine-safe by itself.
 //
-// The training convolution (ConvKernel) shards its tiles over the
-// internal/parallel pool above a size cutoff. Shards write disjoint
-// output regions with unchanged per-element operation order, so every
-// result is bit-identical to the sequential computation at any worker
-// count. The materialized references every fast path is checked
-// against (naive matmul, im2col/col2im) live in the package tests.
+// Every kernel here runs sequentially on the calling goroutine;
+// parallelism lives above the network (the serving engine's shards and
+// the evaluation rollouts), so results never depend on a worker count.
+// The materialized references every fast path is checked against
+// (naive matmul, im2col/col2im) live in the package tests.
 package tensor
 
 import (
@@ -167,13 +166,6 @@ func (t *Tensor) assertSameShape(o *Tensor) {
 		}
 	}
 }
-
-// matMulCutoff is the minimum multiply-accumulate count per chunk at
-// which the convolution kernels shard their tiles over the worker pool
-// (convGrain); below it the scheduling overhead outweighs the win.
-// Exported knobs are unnecessary: correctness is identical on both
-// sides of the cutoff.
-const matMulCutoff = 32 * 1024
 
 // Reuse returns a tensor with the given shape, recycling t's backing
 // array when its capacity suffices and allocating a fresh tensor

@@ -9,15 +9,13 @@
 #   NetworkForward  0  (DNN 64-[128,64]-16 Forward)
 #   ServedPredict   0  (compiled plan PredictInto, the serving engine's
 #                       path)
-#   CNNForward      0  (compiled CNN plan — sequential packed ops, no
-#                       parallel-dispatch closures)
+#   CNNForward      0  (compiled CNN plan — sequential packed ops)
 #   CNNForwardTrain 0  (uncompiled training forward — the implicit-GEMM
-#                       ConvKernel dispatches persistent shard closures
-#                       and draws every transient from the scratch arena)
+#                       ConvKernel runs sequentially on pack buffers it
+#                       allocated when it was built)
 #   TrainBatch      0  (one sequential pass per example into the
-#                       network's own gradient accumulators; the only
-#                       parallelism left is inside ConvKernel, whose
-#                       persistent shard closures allocate nothing)
+#                       network's own gradient accumulators, with each
+#                       Conv2D's gradW product in a layer-owned buffer)
 #   DQNObserve      TrainBatch's budget (one replayed Q-learning update:
 #                       bootstraps on the compiled target plan, then one
 #                       TrainBatch; the target sync recompiles the plan
