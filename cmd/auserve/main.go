@@ -2,9 +2,8 @@
 // model snapshots and serves the query-side primitives over HTTP,
 // coalescing concurrent Predict traffic into minibatches. Each served
 // model is its compiled plan, with one plan instance per shard of a
-// batch; the shard count is the parallel width at install
-// (AUTONOMIZER_WORKERS, default GOMAXPROCS). See internal/serve and
-// DESIGN.md §5d.
+// batch; the shard count is GOMAXPROCS at install. See internal/serve
+// and DESIGN.md §5d.
 //
 // Usage:
 //

@@ -41,7 +41,6 @@ import (
 	"github.com/autonomizer/autonomizer/internal/bench"
 	"github.com/autonomizer/autonomizer/internal/core"
 	"github.com/autonomizer/autonomizer/internal/obs"
-	"github.com/autonomizer/autonomizer/internal/parallel"
 )
 
 func main() {
@@ -431,18 +430,6 @@ func runServe(ctx context.Context, log *slog.Logger, seed uint64) error {
 	if _, err := rt.WriteBackCtx(ctx, "unbound", nil); err == nil {
 		return fmt.Errorf("serve: write_back of unbound name unexpectedly succeeded")
 	}
-	// The toy networks above run sequentially, so drive the worker pool
-	// directly once — its utilization gauges should export
-	// even on this miniature workload (forcing width 2 on a 1-core box).
-	if parallel.Workers() < 2 {
-		defer parallel.SetWorkers(parallel.SetWorkers(2))
-	}
-	sink := make([]float64, 1<<14)
-	parallel.For(len(sink), 64, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			sink[i] = float64(i) * 0.5
-		}
-	})
 	log.Info("workload complete; serving telemetry until interrupted",
 		"models", rt.ModelNames())
 	<-ctx.Done()

@@ -1,10 +1,10 @@
 package bench
 
 import (
+	"runtime"
 	"testing"
 
 	"github.com/autonomizer/autonomizer/internal/games/env"
-	"github.com/autonomizer/autonomizer/internal/parallel"
 	"github.com/autonomizer/autonomizer/internal/stats"
 )
 
@@ -27,11 +27,11 @@ func rolloutScore(subject *RLSubject, episodes int) (float64, float64) {
 // worker ran it.
 func TestParallelRolloutsDeterministic(t *testing.T) {
 	subject := FlappySubject()
-	prev := parallel.SetWorkers(1)
-	defer parallel.SetWorkers(prev)
+	prev := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(prev)
 	wantScore, wantSuccess := rolloutScore(subject, 12)
 	for _, w := range []int{2, 8} {
-		parallel.SetWorkers(w)
+		runtime.GOMAXPROCS(w)
 		gotScore, gotSuccess := rolloutScore(subject, 12)
 		if gotScore != wantScore || gotSuccess != wantSuccess {
 			t.Errorf("workers=%d: rollout aggregate (%v, %v) != sequential (%v, %v)",

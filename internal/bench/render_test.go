@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -92,16 +93,20 @@ func TestRatioDur(t *testing.T) {
 	}
 }
 
-// TestTORCSAblationHelper verifies the exported ablation entry point
-// prunes when asked.
+// TestTORCSAblationHelper pins Algorithm 2's seed-1 ablation. Of the 20
+// candidates, the unpruned arm (ε₁ = ε₂ = 0) already drops exact
+// duplicates of posX (posXdup, trackPos) and constants (damage, gear,
+// rpm, speedX); the paper's thresholds then remove lapTime, progress,
+// roll, steps and wallDistL by ε₁ and accX by ε₂.
 func TestTORCSAblationHelper(t *testing.T) {
-	with := TORCSFeatureAblation(1, true)
-	without := TORCSFeatureAblation(1, false)
-	if len(with) >= len(without) {
-		t.Errorf("pruning kept %d features vs %d unpruned", len(with), len(without))
+	pruned := []string{"angle", "curvFar", "curvNext", "curvNow", "distRaced", "fuel", "posX", "wallDistR"}
+	unpruned := []string{"accX", "angle", "curvFar", "curvNext", "curvNow", "distRaced", "fuel",
+		"lapTime", "posX", "progress", "roll", "steps", "wallDistL", "wallDistR"}
+	if got := TORCSFeatureAblation(1, true); !reflect.DeepEqual(got, pruned) {
+		t.Errorf("pruned features %v, want %v", got, pruned)
 	}
-	if len(with) == 0 {
-		t.Error("pruning removed everything")
+	if got := TORCSFeatureAblation(1, false); !reflect.DeepEqual(got, unpruned) {
+		t.Errorf("unpruned features %v, want %v", got, unpruned)
 	}
 }
 

@@ -289,7 +289,8 @@ func RenderFig17(w io.Writer, all, manual, raw *RLResult) {
 }
 
 // TORCSFeatureAblation runs Algorithm 2 on the TORCS control loop with
-// pruning enabled (the paper's thresholds) or disabled, returning the
+// pruning enabled (the paper's thresholds) or disabled (ε₁ = ε₂ = 0,
+// which still drops exact duplicates and constants), returning the
 // surviving feature list — the input widths the pruning ablation
 // compares.
 func TORCSFeatureAblation(seed uint64, withPruning bool) []string {

@@ -5,13 +5,13 @@ import "github.com/autonomizer/autonomizer/internal/parallel"
 // ParallelAverageScore plays episodes concurrently and reports the mean
 // score and success rate, the fan-out counterpart of AverageScore. Each
 // episode owns a private environment and policy built by the factories
-// (called from worker goroutines — they must not hand out shared mutable
+// (called from shard goroutines — they must not hand out shared mutable
 // state), and results are reduced in episode order, so the outcome is
-// bit-identical at any worker count, including 1.
+// bit-identical at any width, including 1.
 func ParallelAverageScore(newEnv func(episode int) Env, newPolicy func(episode int) Policy,
 	episodes, maxSteps int) (score, successRate float64) {
 	results := make([]EpisodeResult, episodes)
-	parallel.For(episodes, 1, func(lo, hi int) {
+	parallel.For(episodes, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			results[i] = RunEpisode(newEnv(i), newPolicy(i), maxSteps)
 		}

@@ -2,9 +2,9 @@ package nn
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
-	"github.com/autonomizer/autonomizer/internal/parallel"
 	"github.com/autonomizer/autonomizer/internal/stats"
 )
 
@@ -54,7 +54,7 @@ func TestCompiledDNNBitIdentical(t *testing.T) {
 		inst := plan.NewInstance()
 		in := make([]float64, arch.in)
 		for _, workers := range []int{1, 2, 8} {
-			restore := parallel.SetWorkers(workers)
+			restore := runtime.GOMAXPROCS(workers)
 			for trial := 0; trial < 5; trial++ {
 				for i := range in {
 					in[i] = rng.NormFloat64()
@@ -63,7 +63,7 @@ func TestCompiledDNNBitIdentical(t *testing.T) {
 				got := inst.Predict(in)
 				bitsEqual(t, arch.name, got, want)
 			}
-			parallel.SetWorkers(restore)
+			runtime.GOMAXPROCS(restore)
 		}
 	}
 }
@@ -120,7 +120,7 @@ func TestCompiledCNNBitIdentical(t *testing.T) {
 		}
 		in := make([]float64, size)
 		for _, workers := range []int{1, 2, 8} {
-			restore := parallel.SetWorkers(workers)
+			restore := runtime.GOMAXPROCS(workers)
 			for trial := 0; trial < 3; trial++ {
 				for i := range in {
 					in[i] = rng.NormFloat64()
@@ -129,7 +129,7 @@ func TestCompiledCNNBitIdentical(t *testing.T) {
 				got := inst.Predict(in)
 				bitsEqual(t, b.name, got, want)
 			}
-			parallel.SetWorkers(restore)
+			runtime.GOMAXPROCS(restore)
 		}
 	}
 }

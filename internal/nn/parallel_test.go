@@ -2,9 +2,9 @@ package nn
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
-	"github.com/autonomizer/autonomizer/internal/parallel"
 	"github.com/autonomizer/autonomizer/internal/stats"
 	"github.com/autonomizer/autonomizer/internal/tensor"
 )
@@ -84,11 +84,11 @@ func TestParallelTrainingDeterminism(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			prev := parallel.SetWorkers(1)
-			defer parallel.SetWorkers(prev)
+			prev := runtime.GOMAXPROCS(1)
+			defer runtime.GOMAXPROCS(prev)
 			wantParams, wantPred := trainRun(t, tc.build, tc.ins, tc.tgt, 4)
 			for _, w := range []int{1, 2, 8} {
-				parallel.SetWorkers(w)
+				runtime.GOMAXPROCS(w)
 				gotParams, gotPred := trainRun(t, tc.build, tc.ins, tc.tgt, 4)
 				if !bytes.Equal(wantParams, gotParams) {
 					t.Errorf("workers=%d: weights differ from sequential training", w)

@@ -3,9 +3,9 @@ package nn
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
-	"github.com/autonomizer/autonomizer/internal/parallel"
 	"github.com/autonomizer/autonomizer/internal/stats"
 	"github.com/autonomizer/autonomizer/internal/tensor"
 )
@@ -130,12 +130,12 @@ func TestTrainBatchMatchesScalarReference(t *testing.T) {
 			)
 		}, []int{6}, 3},
 	}
-	prev := parallel.SetWorkers(1)
-	defer parallel.SetWorkers(prev)
+	prev := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(prev)
 	for _, tc := range cases {
 		ins, targets := makeDataset(24, tc.out, tc.shape...)
 		for _, w := range []int{1, 2, 8} {
-			parallel.SetWorkers(w)
+			runtime.GOMAXPROCS(w)
 			label := fmt.Sprintf("%s workers=%d", tc.name, w)
 			got, want := tc.build(stats.NewRNG(42)), tc.build(stats.NewRNG(42))
 			got.UseAdam(1e-2)

@@ -6,10 +6,9 @@
 // The paper's runtime silently records features, trains and queries
 // models; a production autonomized system serving real traffic has to
 // answer "which primitive is slow, which model is drifting, which
-// worker pool is starved" without a debugger attached. Every subsystem
+// queue is backing up" without a debugger attached. Every subsystem
 // of this runtime (core primitives, nn training, rl agents, the
-// parallel pool, the database store, the checkpoint manager) reports
-// into this package.
+// database store, the checkpoint manager) reports into this package.
 //
 // # Disabled-by-default, zero-cost when disabled
 //
@@ -31,7 +30,7 @@
 //
 // All metrics follow autonomizer_<subsystem>_<name>_<unit>
 // (DESIGN.md §5c): e.g. autonomizer_core_primitive_duration_seconds,
-// autonomizer_parallel_tasks_running, autonomizer_db_store_bytes.
+// autonomizer_serve_queue_depth, autonomizer_db_store_bytes.
 // Label cardinality is bounded by construction: labels only carry
 // closed vocabularies (primitive names, auerr error classes, optimizer
 // names, model names from the host's au_config calls) — never inputs,

@@ -207,7 +207,7 @@ func parseSpanBuffer(s string) (int, error) {
 // ensureSpanRing resolves the initial ring capacity on first use:
 // AUTONOMIZER_SPAN_BUFFER when valid, else the default — a malformed
 // value is rejected loudly (logged warning) rather than silently
-// resizing the ring, mirroring AUTONOMIZER_WORKERS.
+// resizing the ring.
 func ensureSpanRing() {
 	spanRing.once.Do(func() {
 		size := defaultSpanBuffer

@@ -173,8 +173,7 @@ func TestSpanTraceIdentity(t *testing.T) {
 }
 
 // TestParseSpanBuffer pins the AUTONOMIZER_SPAN_BUFFER validation
-// bounds (mirroring AUTONOMIZER_WORKERS: reject loudly, never clamp
-// silently).
+// bounds (reject loudly, never clamp silently).
 func TestParseSpanBuffer(t *testing.T) {
 	for _, tc := range []struct {
 		in string

@@ -4,10 +4,10 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"math"
+	"runtime"
 	"testing"
 
 	"github.com/autonomizer/autonomizer/internal/nn"
-	"github.com/autonomizer/autonomizer/internal/parallel"
 	"github.com/autonomizer/autonomizer/internal/stats"
 )
 
@@ -90,9 +90,9 @@ func TestGoldenDigest(t *testing.T) {
 		{"cnn", true, false, 0x8a9a3b9d56fdfc3c},
 		{"cnn-double", true, true, 0xdfe3f812a0df6579},
 	}
-	defer parallel.SetWorkers(parallel.SetWorkers(1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, w := range []int{1, 2, 8} {
-		parallel.SetWorkers(w)
+		runtime.GOMAXPROCS(w)
 		for _, c := range cases {
 			if got := goldenDigest(t, c.cnn, c.double); got != c.want {
 				t.Errorf("workers=%d %s: digest %#016x, want %#016x", w, c.name, got, c.want)

@@ -2,10 +2,10 @@ package rl
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"github.com/autonomizer/autonomizer/internal/nn"
-	"github.com/autonomizer/autonomizer/internal/parallel"
 	"github.com/autonomizer/autonomizer/internal/stats"
 )
 
@@ -39,11 +39,11 @@ func runAgent(t *testing.T, steps int) []byte {
 // TestObserveParallelDeterminism checks the replayed Q-learning update is
 // bit-identical across worker counts, including the sequential path.
 func TestObserveParallelDeterminism(t *testing.T) {
-	prev := parallel.SetWorkers(1)
-	defer parallel.SetWorkers(prev)
+	prev := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(prev)
 	want := runAgent(t, 120)
 	for _, w := range []int{2, 8} {
-		parallel.SetWorkers(w)
+		runtime.GOMAXPROCS(w)
 		if got := runAgent(t, 120); !bytes.Equal(want, got) {
 			t.Errorf("workers=%d: DQN update diverged from sequential", w)
 		}

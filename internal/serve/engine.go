@@ -68,7 +68,7 @@ func (e *engine) predictBatchInto(ins, outs [][]float64) {
 		e.runShard(0, 1, ins, outs)
 		return
 	}
-	parallel.For(shards, 1, func(lo, hi int) {
+	parallel.For(shards, func(lo, hi int) {
 		for s := lo; s < hi; s++ {
 			e.runShard(s, shards, ins, outs)
 		}

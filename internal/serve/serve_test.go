@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -17,7 +18,6 @@ import (
 	"github.com/autonomizer/autonomizer/internal/core"
 	"github.com/autonomizer/autonomizer/internal/nn"
 	"github.com/autonomizer/autonomizer/internal/obs"
-	"github.com/autonomizer/autonomizer/internal/parallel"
 	"github.com/autonomizer/autonomizer/internal/stats"
 )
 
@@ -571,9 +571,9 @@ func TestEngineShardsMapToInstances(t *testing.T) {
 		}
 	}
 
-	defer parallel.SetWorkers(parallel.SetWorkers(1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, w := range []struct{ install, run int }{{1, 1}, {2, 2}, {8, 8}, {2, 8}, {8, 1}} {
-		parallel.SetWorkers(w.install)
+		runtime.GOMAXPROCS(w.install)
 		eng, err := buildEngine("c", spec, data, 1)
 		if err != nil {
 			t.Fatal(err)
@@ -581,7 +581,7 @@ func TestEngineShardsMapToInstances(t *testing.T) {
 		if len(eng.insts) != w.install {
 			t.Fatalf("install at width %d built %d instances", w.install, len(eng.insts))
 		}
-		parallel.SetWorkers(w.run)
+		runtime.GOMAXPROCS(w.run)
 		for _, n := range []int{1, 3, 32} {
 			outs := make([][]float64, n)
 			for i := range outs {

@@ -6,8 +6,6 @@ import (
 	"strconv"
 	"testing"
 	"time"
-
-	"github.com/autonomizer/autonomizer/internal/parallel"
 )
 
 // BenchmarkKernels is the kernel-gate suite behind BENCH_kernels.json and
@@ -68,7 +66,6 @@ func BenchmarkKernels(b *testing.B) {
 	})
 
 	b.Run("ConvForwardImplicit", func(b *testing.B) {
-		defer parallel.SetWorkers(parallel.SetWorkers(1))
 		ck := NewConvKernel(geom)
 		out := make([]float64, outC*hw*hw)
 		b.ReportAllocs()
@@ -93,7 +90,6 @@ func BenchmarkKernels(b *testing.B) {
 	})
 
 	b.Run("ConvBackwardImplicit", func(b *testing.B) {
-		defer parallel.SetWorkers(parallel.SetWorkers(1))
 		ck := NewConvKernel(geom)
 		gradW := make([]float64, outC*taps)
 		gradIn := make([]float64, inC*hw*hw)

@@ -3,9 +3,8 @@ package tensor
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
-
-	"github.com/autonomizer/autonomizer/internal/parallel"
 )
 
 // convCase is one geometry row of the implicit-GEMM bit-identity table.
@@ -107,13 +106,13 @@ func TestConvKernelBitIdentical(t *testing.T) {
 		for _, impl := range convImpls() {
 			ck := newConvKernel(g, impl)
 			for _, workers := range []int{1, 2, 8} {
-				prev := parallel.SetWorkers(workers)
+				prev := runtime.GOMAXPROCS(workers)
 				out := make([]float64, tc.outC*n)
 				gradW := make([]float64, tc.outC*k)
 				gradIn := make([]float64, tc.inC*tc.inH*tc.inW)
 				ck.Forward(out, inT.Data(), wT.Data())
 				ck.Backward(gradW, gradIn, inT.Data(), wT.Data(), gT.Data())
-				parallel.SetWorkers(prev)
+				runtime.GOMAXPROCS(prev)
 				if i := diffBits(out, wantOut.Data()); i >= 0 {
 					t.Fatalf("%s/%s/w%d forward: elem %d = %x, want %x",
 						tc.name, impl.name, workers, i,
@@ -151,12 +150,12 @@ func TestConvKernelBackwardWithoutGradIn(t *testing.T) {
 		for _, impl := range convImpls() {
 			ck := newConvKernel(g, impl)
 			for _, workers := range []int{1, 2, 8} {
-				prev := parallel.SetWorkers(workers)
+				prev := runtime.GOMAXPROCS(workers)
 				want := make([]float64, tc.outC*k)
 				ck.Backward(want, make([]float64, len(in)), in, w, gout)
 				got := make([]float64, tc.outC*k)
 				ck.Backward(got, nil, in, w, gout)
-				parallel.SetWorkers(prev)
+				runtime.GOMAXPROCS(prev)
 				if i := diffBits(got, want); i >= 0 {
 					t.Fatalf("%s/%s/w%d gradW without gradIn: elem %d = %x, want %x",
 						tc.name, impl.name, workers, i,

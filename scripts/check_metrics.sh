@@ -5,9 +5,9 @@
 # until /metrics answers, then asserts the exposition carries the metric
 # families the runtime contract promises (DESIGN.md §5c/§5h): per-
 # primitive call counters, latency histograms and sliding-window
-# quantile summaries, auerr-classed error counters, worker-pool gauges,
-# db/ckpt activity, the expvar mirror on /debug/vars, the /statusz and
-# /healthz deep-health surface, and that the whole exposition parses as
+# quantile summaries, auerr-classed error counters, db/ckpt activity,
+# the expvar mirror on /debug/vars, the /statusz and /healthz
+# deep-health surface, and that the whole exposition parses as
 # well-formed Prometheus text (no duplicate HELP/TYPE, sane line
 # grammar).
 #
@@ -62,12 +62,6 @@ if [ "$MODE" != "serve" ]; then
     require '^autonomizer_nn_fit_last_loss\{model=' "per-model fit loss gauge"
     require '^autonomizer_nn_optimizer_steps_total\{optimizer=' "optimizer step counter"
     require '^autonomizer_rl_train_steps_total' "rl train step counter"
-
-    # Worker-pool gauges.
-    require '^autonomizer_parallel_workers [0-9]' "parallel width gauge"
-    require '^autonomizer_parallel_pool_size [0-9]' "pool size gauge"
-    require '^autonomizer_parallel_tasks_queued [0-9]' "queued tasks gauge"
-    require '^autonomizer_parallel_tasks_running [0-9]' "running tasks gauge"
 
     # Store and checkpoint activity.
     require '^autonomizer_db_store_bytes [0-9]' "db store footprint gauge"
