@@ -271,8 +271,9 @@ func EnableTelemetry() *TelemetryRegistry { return obs.Enable() }
 func Telemetry() *TelemetryRegistry { return obs.Default() }
 
 // TelemetryHandler returns the HTTP handler serving /metrics
-// (Prometheus text format), /debug/vars (expvar), /debug/pprof and
-// /debug/spans, for hosts that mount telemetry on their own server.
+// (Prometheus text format), /debug/vars (Go's expvar memstats and
+// cmdline), /debug/pprof and /debug/spans, for hosts that mount
+// telemetry on their own server.
 func TelemetryHandler() http.Handler { return obs.Handler() }
 
 // ServeTelemetry serves TelemetryHandler on addr until ctx is canceled.

@@ -53,7 +53,7 @@ func main() {
 	demo := flag.Bool("demo", false, "train and install a small deterministic demo model")
 	maxBatch := flag.Int("max-batch", 0, "max requests coalesced into one batch (default 32)")
 	queue := flag.Int("queue", 0, "per-model queue depth before load shedding (default 256)")
-	driftThreshold := flag.Float64("drift-threshold", 0, "rolling drift MSE above which a model flips /healthz?deep=1 not-ready (0: monitor-only, or AUTONOMIZER_DRIFT_THRESHOLD)")
+	driftThreshold := flag.Float64("drift-threshold", 0, "rolling drift MSE above which a model flips /healthz?deep=1 not-ready (0: monitor-only)")
 	driftWindow := flag.Duration("drift-window", 0, "rolling window drift loss is averaged over (default 1m)")
 	logFormat := flag.String("log-format", "text", "diagnostic log format: text|json")
 	logLevel := flag.String("log-level", "info", "minimum log level: debug|info|warn|error")
@@ -78,7 +78,6 @@ func main() {
 	// The batch-size histogram and queue gauges are the whole point of
 	// running a server; telemetry is always on here.
 	reg := obs.Enable()
-	reg.PublishExpvar()
 	srv := serve.NewServer(serve.Config{
 		MaxBatch:   *maxBatch,
 		QueueDepth: *queue,

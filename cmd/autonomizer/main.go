@@ -83,11 +83,9 @@ func main() {
 
 	// -telemetry enables the metrics registry BEFORE any runtime or
 	// optimizer is constructed (instruments are resolved at
-	// construction), publishes it on expvar, and serves the endpoints
-	// next to the workload.
+	// construction) and serves the endpoints next to the workload.
 	if *telemetry != "" {
-		reg := obs.Enable()
-		reg.PublishExpvar()
+		obs.Enable()
 		go func() {
 			if err := obs.Serve(ctx, *telemetry); err != nil {
 				log.Error("telemetry server failed", "addr", *telemetry, "err", err)

@@ -3,7 +3,6 @@ package bench
 import (
 	"context"
 	"testing"
-	"time"
 
 	"github.com/autonomizer/autonomizer/internal/obs"
 )
@@ -16,9 +15,8 @@ import (
 //     pre-telemetry baseline, BenchmarkPredictCtxOverhead/PredictCtx and
 //     BenchmarkFitCtxOverhead/FitCtx (BENCH_obs.json's "baseline").
 //   - enabled: a live private registry — counters, latency histogram
-//     timers, sliding-window quantile summaries and (for Fit) per-step
-//     timings all recording, which bounds the cost a -telemetry run
-//     actually pays.
+//     timers and (for Fit) per-step timings all recording, which
+//     bounds the cost a -telemetry run actually pays.
 //   - traced: enabled plus span recording (-trace), which additionally
 //     pays per-request span allocation and ring insertion.
 func BenchmarkObsOverhead(b *testing.B) {
@@ -77,27 +75,6 @@ func BenchmarkObsOverhead(b *testing.B) {
 			if _, err := rt.FitCtx(ctx, "Ctx", 1, 16); err != nil {
 				b.Fatal(err)
 			}
-		}
-	})
-}
-
-// BenchmarkQuantileObserve prices the sliding-window quantile
-// estimator's hot path: one live Observe is a clock read, a log-bucket
-// index computation and a handful of atomic adds; the nil variant is
-// what a disabled instrumentation site pays.
-func BenchmarkQuantileObserve(b *testing.B) {
-	b.Run("nil", func(b *testing.B) {
-		var s *obs.Summary
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			s.Observe(1e-3)
-		}
-	})
-	b.Run("live", func(b *testing.B) {
-		s := obs.NewSummary(time.Minute, 6)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			s.Observe(1e-3)
 		}
 	})
 }

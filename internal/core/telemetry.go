@@ -41,7 +41,6 @@ type telemetry struct {
 	reg   *obs.Registry
 	calls [nPrimitives]*obs.Counter
 	lat   [nPrimitives]*obs.Histogram
-	latQ  [nPrimitives]*obs.Summary
 
 	fitEpochs *obs.Counter
 	fitStep   *obs.Histogram
@@ -60,8 +59,6 @@ func newTelemetry(reg *obs.Registry) *telemetry {
 			"Invocations of each runtime primitive.", lbl)
 		t.lat[p] = reg.Histogram("autonomizer_core_primitive_duration_seconds",
 			"Latency of each runtime primitive.", nil, lbl)
-		t.latQ[p] = reg.Summary("autonomizer_core_primitive_latency_seconds",
-			"Sliding-window latency quantiles (p50/p95/p99/p999) of each runtime primitive.", lbl)
 	}
 	t.fitEpochs = reg.Counter("autonomizer_nn_fit_epochs_total",
 		"Completed offline-training epochs across all models.", nil)
@@ -90,7 +87,7 @@ func (t *telemetry) end(p primitive, tm obs.Timer, sp *obs.Span, err *error) {
 	if t == nil {
 		return
 	}
-	tm.StopAlso(t.latQ[p])
+	tm.Stop()
 	sp.End(*err)
 	if *err != nil {
 		t.reg.Counter("autonomizer_core_primitive_errors_total",

@@ -226,16 +226,21 @@ func TestRouterInstallAndForward(t *testing.T) {
 
 	// The router's surface is a drop-in auserve: both predict encodings,
 	// bit-identical to the embedded runtime.
-	for name, c := range map[string]*serve.Client{
-		"binary": serve.NewClient(routerURL),
-		"json":   serve.NewClient(routerURL, serve.WithJSONPredict()),
+	binCli := serve.NewClient(routerURL)
+	for name, predict := range map[string]func(in []float64) ([]float64, error){
+		"binary": func(in []float64) ([]float64, error) {
+			return binCli.PredictCtx(context.Background(), "m", in)
+		},
+		"json": func(in []float64) ([]float64, error) {
+			return predictJSON(routerURL, "m", in)
+		},
 	} {
 		for i := 0; i < 8; i++ {
 			want, err := ref.PredictCtx(context.Background(), "m", input(i))
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := c.PredictCtx(context.Background(), "m", input(i))
+			got, err := predict(input(i))
 			if err != nil {
 				t.Fatalf("%s predict through router: %v", name, err)
 			}
@@ -267,6 +272,26 @@ func TestRouterInstallAndForward(t *testing.T) {
 	if st.Placements["m"] != owner {
 		t.Fatalf("placement of m = %q, want %q", st.Placements["m"], owner)
 	}
+}
+
+// predictJSON posts one PredictRequest to the JSON predict endpoint,
+// the encoding curl and check_serve.sh use.
+func predictJSON(url, model string, in []float64) ([]float64, error) {
+	body, err := json.Marshal(serve.PredictRequest{Model: model, Input: in})
+	if err != nil {
+		return nil, err
+	}
+	resp, err := http.Post(url+"/v1/predict", "application/json", bytes.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("JSON predict answered HTTP %d", resp.StatusCode)
+	}
+	var out serve.PredictResponse
+	err = json.NewDecoder(resp.Body).Decode(&out)
+	return out.Output, err
 }
 
 // TestRouterSurvivesBackendDeath: killing the owning backend mid-run

@@ -11,7 +11,7 @@ import (
 // mean squared error of served predictions against the ground-truth
 // observations that later flow back through WriteBack. A surrogate is
 // only useful while it remains faithful and cheap; the serving layer
-// measures cost (latency quantiles) and this monitor measures
+// measures cost (latency histograms) and this monitor measures
 // faithfulness, turning "the process is up" health into "this model is
 // still worth querying". When the rolling loss of a model exceeds the
 // configured threshold its verdict flips unhealthy, which the serving

@@ -14,7 +14,7 @@ import (
 //	/metrics              Prometheus text exposition of the default registry
 //	/statusz              JSON process status (uptime, telemetry posture, registered sections)
 //	/healthz              liveness; ?deep=1 additionally runs registered readiness checks
-//	/debug/vars           expvar JSON (includes autonomizer_metrics once published)
+//	/debug/vars           expvar JSON (Go's own memstats and cmdline)
 //	/debug/pprof/...      the standard net/http/pprof profiling endpoints
 //	/debug/spans          recent traced spans as JSON (see SetTracing)
 //

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"expvar"
 	"fmt"
 	"io"
 	"math"
@@ -204,18 +203,6 @@ func (t Timer) Stop() {
 	t.h.Observe(time.Since(t.start).Seconds())
 }
 
-// StopAlso records the elapsed time into the timer's histogram and
-// additionally into s (a sliding-window summary; nil is fine), reading
-// the clock once. A zero Timer is a no-op.
-func (t Timer) StopAlso(s *Summary) {
-	if t.h == nil {
-		return
-	}
-	d := time.Since(t.start).Seconds()
-	t.h.Observe(d)
-	s.Observe(d)
-}
-
 // metricKind tags a family's instrument type.
 type metricKind int
 
@@ -224,7 +211,6 @@ const (
 	kindGauge
 	kindGaugeFunc
 	kindHistogram
-	kindSummary
 )
 
 func (k metricKind) String() string {
@@ -235,8 +221,6 @@ func (k metricKind) String() string {
 		return "gauge"
 	case kindHistogram:
 		return "histogram"
-	case kindSummary:
-		return "summary"
 	}
 	return "untyped"
 }
@@ -248,7 +232,6 @@ type series struct {
 	gauge   *Gauge
 	fn      func() float64
 	hist    *Histogram
-	sum     *Summary
 }
 
 // family groups all series sharing a metric name.
@@ -304,8 +287,6 @@ func (r *Registry) lookup(name, help string, kind metricKind, buckets []float64,
 			h := &Histogram{bounds: append([]float64(nil), f.buckets...)}
 			h.counts = make([]atomic.Uint64, len(h.bounds))
 			s.hist = h
-		case kindSummary:
-			s.sum = NewSummary(0, 0)
 		}
 		f.series[key] = s
 		i := sort.SearchStrings(f.order, key)
@@ -377,22 +358,6 @@ func (r *Registry) Histogram(name, help string, buckets []float64, labels Labels
 		return nil
 	}
 	return s.hist
-}
-
-// Summary returns the sliding-window quantile estimator for
-// (name, labels), registering it on first use with the default window
-// (1 minute, 6 slices) and the SummaryQuantiles objectives. Rendered
-// as a Prometheus summary: one {quantile="..."} series per objective
-// plus cumulative _sum and _count. Nil-safe like Counter.
-func (r *Registry) Summary(name, help string, labels Labels) *Summary {
-	if r == nil {
-		return nil
-	}
-	s := r.lookup(name, help, kindSummary, nil, labels)
-	if s == nil {
-		return nil
-	}
-	return s.sum
 }
 
 // Mismatches reports how many instrument registrations were dropped
@@ -521,13 +486,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				fmt.Fprintf(&b, "%s_bucket%s %d\n", f.name, withExtraLabel(s.labels, "le", "+Inf"), cum)
 				fmt.Fprintf(&b, "%s_sum%s %s\n", f.name, s.labels, fmtFloat(h.Sum()))
 				fmt.Fprintf(&b, "%s_count%s %d\n", f.name, s.labels, cum)
-			case kindSummary:
-				for _, q := range SummaryQuantiles {
-					fmt.Fprintf(&b, "%s%s %s\n", f.name,
-						withExtraLabel(s.labels, "quantile", fmtFloat(q)), fmtFloat(s.sum.Quantile(q)))
-				}
-				fmt.Fprintf(&b, "%s_sum%s %s\n", f.name, s.labels, fmtFloat(s.sum.Sum()))
-				fmt.Fprintf(&b, "%s_count%s %d\n", f.name, s.labels, s.sum.Count())
 			}
 		}
 	}
@@ -535,58 +493,4 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 
 	_, err := io.WriteString(w, b.String())
 	return err
-}
-
-// snapshot renders the registry as a JSON-encodable map for expvar:
-// counters and gauges map to numbers, histograms to
-// {count, sum, buckets}.
-func (r *Registry) snapshot() map[string]any {
-	out := make(map[string]any)
-	if r == nil {
-		return out
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for name, f := range r.families {
-		for _, key := range f.order {
-			s := f.series[key]
-			id := name + s.labels
-			switch f.kind {
-			case kindCounter:
-				out[id] = s.counter.Value()
-			case kindGauge:
-				out[id] = s.gauge.Value()
-			case kindGaugeFunc:
-				if s.fn != nil {
-					out[id] = s.fn()
-				} else {
-					out[id] = 0.0
-				}
-			case kindHistogram:
-				out[id] = map[string]any{"count": s.hist.Count(), "sum": s.hist.Sum()}
-			case kindSummary:
-				out[id] = map[string]any{"count": s.sum.Count(), "sum": s.sum.Sum()}
-			}
-		}
-	}
-	return out
-}
-
-// expvarOnce guards the process-global expvar name, which panics on
-// duplicate registration.
-var expvarOnce sync.Once
-
-// PublishExpvar exposes the registry on /debug/vars under the
-// "autonomizer_metrics" key. The expvar callback reads the registry at
-// request time, so it always reflects the current default registry;
-// repeated calls are no-ops.
-func (r *Registry) PublishExpvar() {
-	if r == nil {
-		return
-	}
-	expvarOnce.Do(func() {
-		expvar.Publish("autonomizer_metrics", expvar.Func(func() any {
-			return Default().snapshot()
-		}))
-	})
 }

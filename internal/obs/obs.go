@@ -1,7 +1,8 @@
 // Package obs is the Autonomizer runtime's telemetry layer: a
 // dependency-free (stdlib-only) metrics registry, structured logging on
 // log/slog, and lightweight span tracing, with HTTP endpoints exporting
-// everything in Prometheus text format, expvar JSON and net/http/pprof.
+// metrics in Prometheus text format, spans as JSON and profiles through
+// net/http/pprof.
 //
 // The paper's runtime silently records features, trains and queries
 // models; a production autonomized system serving real traffic has to

@@ -4,9 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand/v2"
-	"os"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -169,87 +166,16 @@ type SpanRecord struct {
 	Err      string        `json:"err,omitempty"`
 }
 
-// Span-ring capacity bounds: the default matches the pre-configurable
-// ring, the maximum keeps a runaway env value from pinning memory
-// (1<<20 records ≈ 300 MB of spans is already absurd).
-const (
-	defaultSpanBuffer = 256
-	maxSpanBuffer     = 1 << 20
-)
+// spanRingSize is how many finished spans the recent-span ring keeps.
+const spanRingSize = 256
 
-// spanRing keeps the most recent spans for /debug/spans and tests.
-// Capacity comes from AUTONOMIZER_SPAN_BUFFER (or SetSpanBuffer),
-// resolved lazily on first use like the parallel pool's width.
+// spanRing keeps the most recent spans for /debug/spans and tests;
+// once full, each new record evicts the oldest.
 var spanRing struct {
-	once sync.Once
 	mu   sync.Mutex
-	buf  []SpanRecord
+	buf  [spanRingSize]SpanRecord
 	next int
 	n    int
-}
-
-// parseSpanBuffer validates an AUTONOMIZER_SPAN_BUFFER value: a
-// positive decimal integer no larger than maxSpanBuffer.
-func parseSpanBuffer(s string) (int, error) {
-	n, err := strconv.Atoi(strings.TrimSpace(s))
-	if err != nil {
-		return 0, fmt.Errorf("obs: AUTONOMIZER_SPAN_BUFFER=%q is not an integer", s)
-	}
-	if n < 1 {
-		return 0, fmt.Errorf("obs: AUTONOMIZER_SPAN_BUFFER=%d must be positive", n)
-	}
-	if n > maxSpanBuffer {
-		return 0, fmt.Errorf("obs: AUTONOMIZER_SPAN_BUFFER=%d exceeds the cap of %d", n, maxSpanBuffer)
-	}
-	return n, nil
-}
-
-// ensureSpanRing resolves the initial ring capacity on first use:
-// AUTONOMIZER_SPAN_BUFFER when valid, else the default — a malformed
-// value is rejected loudly (logged warning) rather than silently
-// resizing the ring.
-func ensureSpanRing() {
-	spanRing.once.Do(func() {
-		size := defaultSpanBuffer
-		if s := os.Getenv("AUTONOMIZER_SPAN_BUFFER"); s != "" {
-			n, err := parseSpanBuffer(s)
-			if err != nil {
-				Logger().Warn("bad AUTONOMIZER_SPAN_BUFFER; falling back to default",
-					"err", err, "default", defaultSpanBuffer)
-			} else {
-				size = n
-			}
-		}
-		spanRing.buf = make([]SpanRecord, size)
-	})
-}
-
-// SetSpanBuffer resizes the recent-span ring to hold n records,
-// keeping the newest records that fit. It returns an error (and leaves
-// the ring untouched) when n is out of bounds.
-func SetSpanBuffer(n int) error {
-	if n < 1 || n > maxSpanBuffer {
-		return fmt.Errorf("obs: span buffer size %d out of range [1, %d]", n, maxSpanBuffer)
-	}
-	ensureSpanRing()
-	spanRing.mu.Lock()
-	defer spanRing.mu.Unlock()
-	old := recentSpansLocked()
-	if len(old) > n {
-		old = old[len(old)-n:]
-	}
-	spanRing.buf = make([]SpanRecord, n)
-	spanRing.n = copy(spanRing.buf, old)
-	spanRing.next = spanRing.n % n
-	return nil
-}
-
-// SpanBufferSize reports the ring's current capacity.
-func SpanBufferSize() int {
-	ensureSpanRing()
-	spanRing.mu.Lock()
-	defer spanRing.mu.Unlock()
-	return len(spanRing.buf)
 }
 
 // End closes the span: its duration lands in the
@@ -272,31 +198,24 @@ func (s *Span) End(err error) {
 	if err != nil {
 		rec.Err = err.Error()
 	}
-	ensureSpanRing()
 	spanRing.mu.Lock()
 	spanRing.buf[spanRing.next] = rec
-	spanRing.next = (spanRing.next + 1) % len(spanRing.buf)
-	if spanRing.n < len(spanRing.buf) {
+	spanRing.next = (spanRing.next + 1) % spanRingSize
+	if spanRing.n < spanRingSize {
 		spanRing.n++
 	}
 	spanRing.mu.Unlock()
 	Logger().Debug("span", "name", s.name, "parent", s.parent, "trace", s.traceID, "dur", d, "err", err)
 }
 
-// recentSpansLocked copies the ring oldest-first; callers hold the lock.
-func recentSpansLocked() []SpanRecord {
+// RecentSpans returns the most recent finished spans, oldest first.
+func RecentSpans() []SpanRecord {
+	spanRing.mu.Lock()
+	defer spanRing.mu.Unlock()
 	out := make([]SpanRecord, 0, spanRing.n)
 	start := spanRing.next - spanRing.n
 	for i := 0; i < spanRing.n; i++ {
-		out = append(out, spanRing.buf[(start+i+len(spanRing.buf))%len(spanRing.buf)])
+		out = append(out, spanRing.buf[(start+i+spanRingSize)%spanRingSize])
 	}
 	return out
-}
-
-// RecentSpans returns the most recent finished spans, oldest first.
-func RecentSpans() []SpanRecord {
-	ensureSpanRing()
-	spanRing.mu.Lock()
-	defer spanRing.mu.Unlock()
-	return recentSpansLocked()
 }

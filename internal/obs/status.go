@@ -52,7 +52,6 @@ func StatusSnapshot() map[string]any {
 		"gomaxprocs":     runtime.GOMAXPROCS(0),
 		"tracing":        TracingEnabled(),
 		"metrics":        Default() != nil,
-		"span_buffer":    SpanBufferSize(),
 	}
 	statusReg.mu.Lock()
 	fns := make(map[string]func() any, len(statusReg.sections))

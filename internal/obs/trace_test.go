@@ -172,117 +172,40 @@ func TestSpanTraceIdentity(t *testing.T) {
 	}
 }
 
-// TestParseSpanBuffer pins the AUTONOMIZER_SPAN_BUFFER validation
-// bounds (reject loudly, never clamp silently).
-func TestParseSpanBuffer(t *testing.T) {
-	for _, tc := range []struct {
-		in string
-		ok bool
-	}{
-		{"1", true}, {"256", true}, {" 512 ", true},
-		{fmt.Sprint(maxSpanBuffer), true},
-		{"0", false}, {"-4", false}, {"abc", false}, {"", false},
-		{fmt.Sprint(maxSpanBuffer + 1), false},
-	} {
-		_, err := parseSpanBuffer(tc.in)
-		if (err == nil) != tc.ok {
-			t.Errorf("parseSpanBuffer(%q) err=%v, want ok=%v", tc.in, err, tc.ok)
-		}
-	}
-}
-
-// TestSetSpanBuffer checks live resizing: shrinking keeps the newest
-// records, overflow past the capacity evicts oldest-first, and
-// out-of-range sizes are rejected without touching the ring.
-func TestSetSpanBuffer(t *testing.T) {
+// TestSpanRingEvictsOldest checks that overflow past the ring's
+// capacity evicts oldest-first and keeps the newest spanRingSize
+// records in order.
+func TestSpanRingEvictsOldest(t *testing.T) {
 	oldT := SetTracing(true)
 	defer SetTracing(oldT)
 	prev := SetDefault(nil)
 	defer SetDefault(prev)
-	orig := SpanBufferSize()
-	defer func() {
-		if err := SetSpanBuffer(orig); err != nil {
-			t.Fatal(err)
-		}
-	}()
 
-	emit := func(name string) {
-		_, sp := StartSpan(context.Background(), name)
+	const extra = 2
+	for i := 0; i < spanRingSize+extra; i++ {
+		_, sp := StartSpan(context.Background(), fmt.Sprintf("s%d", i))
 		sp.End(nil)
 	}
-
-	if err := SetSpanBuffer(4); err != nil {
-		t.Fatal(err)
-	}
-	if got := SpanBufferSize(); got != 4 {
-		t.Fatalf("SpanBufferSize = %d, want 4", got)
-	}
-	for i := 0; i < 6; i++ {
-		emit(fmt.Sprintf("s%d", i))
-	}
 	recs := RecentSpans()
-	if len(recs) != 4 {
-		t.Fatalf("ring holds %d records, want capacity 4", len(recs))
+	if len(recs) != spanRingSize {
+		t.Fatalf("ring holds %d records, want capacity %d", len(recs), spanRingSize)
 	}
 	for i, r := range recs {
-		if want := fmt.Sprintf("s%d", i+2); r.Name != want {
-			t.Errorf("ring[%d] = %q, want %q (overflow must evict oldest)", i, r.Name, want)
+		if want := fmt.Sprintf("s%d", i+extra); r.Name != want {
+			t.Fatalf("ring[%d] = %q, want %q (overflow must evict oldest)", i, r.Name, want)
 		}
 	}
-
-	// Shrinking keeps the newest tail.
-	if err := SetSpanBuffer(2); err != nil {
-		t.Fatal(err)
-	}
-	recs = RecentSpans()
-	if len(recs) != 2 || recs[0].Name != "s4" || recs[1].Name != "s5" {
-		t.Fatalf("after shrink ring = %v, want [s4 s5]", names(recs))
-	}
-
-	// Growing preserves contents and accepts more.
-	if err := SetSpanBuffer(8); err != nil {
-		t.Fatal(err)
-	}
-	emit("s6")
-	recs = RecentSpans()
-	if len(recs) != 3 || recs[2].Name != "s6" {
-		t.Fatalf("after grow ring = %v, want [s4 s5 s6]", names(recs))
-	}
-
-	for _, n := range []int{0, -1, maxSpanBuffer + 1} {
-		if err := SetSpanBuffer(n); err == nil {
-			t.Errorf("SetSpanBuffer(%d) accepted, want rejection", n)
-		}
-	}
-	if got := SpanBufferSize(); got != 8 {
-		t.Errorf("rejected resize changed capacity to %d", got)
-	}
-}
-
-func names(recs []SpanRecord) []string {
-	out := make([]string, len(recs))
-	for i, r := range recs {
-		out[i] = r.Name
-	}
-	return out
 }
 
 // TestSpanConcurrency hammers the span path from many goroutines —
-// Span End into the shared ring, RecentSpans snapshots, ring resizes
-// and WritePrometheus renders all interleaved. Run under -race in CI;
+// Span End into the shared ring, RecentSpans snapshots and
+// WritePrometheus renders all interleaved. Run under -race in CI;
 // the assertions here are liveness plus well-formed output.
 func TestSpanConcurrency(t *testing.T) {
 	oldT := SetTracing(true)
 	defer SetTracing(oldT)
 	prev := SetDefault(NewRegistry())
 	defer SetDefault(prev)
-	orig := SpanBufferSize()
-	defer func() {
-		if err := SetSpanBuffer(orig); err != nil {
-			t.Fatal(err)
-		}
-	}()
-
 	const workers = 8
 	const perWorker = 200
 	var wg sync.WaitGroup
@@ -322,11 +245,6 @@ func TestSpanConcurrency(t *testing.T) {
 			}
 		}
 	}()
-	for _, n := range []int{64, 512, 128} {
-		if err := SetSpanBuffer(n); err != nil {
-			t.Fatal(err)
-		}
-	}
 	wg.Wait()
 
 	h := Default().Histogram("autonomizer_span_duration_seconds", "", nil, Labels{"span": "hammer.child"})

@@ -41,11 +41,10 @@ import (
 // reached through its router, which places models on backends and
 // re-places them when one dies.
 type Client struct {
-	base   string
-	hc     *http.Client
-	store  *db.Store
-	binary bool
-	retry  RetryPolicy
+	base  string
+	hc    *http.Client
+	store *db.Store
+	retry RetryPolicy
 }
 
 // RetryPolicy tunes WithRetry: jittered exponential backoff around
@@ -100,13 +99,6 @@ func WithHTTPClient(hc *http.Client) ClientOption {
 	return func(c *Client) { c.hc = hc }
 }
 
-// WithJSONPredict disables the length-prefixed binary fast path and
-// sends Predict traffic as JSON (useful through proxies that insist on
-// inspecting bodies).
-func WithJSONPredict() ClientOption {
-	return func(c *Client) { c.binary = false }
-}
-
 // WithRetry makes the client retry transient failures — shed requests
 // (ErrOverloaded/429) and dead or missing backends (ErrUnavailable,
 // transport errors) — with jittered exponential backoff under p.
@@ -124,7 +116,7 @@ func NewClient(baseURL string, opts ...ClientOption) *Client {
 	for len(baseURL) > 0 && baseURL[len(baseURL)-1] == '/' {
 		baseURL = baseURL[:len(baseURL)-1]
 	}
-	c := &Client{base: baseURL, hc: http.DefaultClient, store: db.New(), binary: true}
+	c := &Client{base: baseURL, hc: http.DefaultClient, store: db.New()}
 	for _, o := range opts {
 		o(c)
 	}
@@ -269,19 +261,12 @@ func (c *Client) PredictCtx(ctx context.Context, mdName string, in []float64) (o
 	// the same trace. One atomic load when tracing is off.
 	ctx, sp := obs.StartSpan(ctx, "client.predict")
 	defer func() { sp.End(err) }()
-	if c.binary {
-		err = c.do(ctx, func() error {
-			var aerr error
-			out, aerr = c.predictBinary(ctx, mdName, in)
-			return aerr
-		})
-		return out, err
-	}
-	var resp PredictResponse
-	if err := c.postJSON(ctx, "/v1/predict", PredictRequest{Model: mdName, Input: in}, &resp); err != nil {
-		return nil, err
-	}
-	return resp.Output, nil
+	err = c.do(ctx, func() error {
+		var aerr error
+		out, aerr = c.predictBinary(ctx, mdName, in)
+		return aerr
+	})
+	return out, err
 }
 
 // Predict is PredictCtx with context.Background().

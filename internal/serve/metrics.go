@@ -79,15 +79,16 @@ func (m *metricsSet) stageTimer(st serveStage) obs.Timer {
 	return m.stages[st].Timer()
 }
 
-// modelLatency returns the per-model end-to-end latency summary — the
-// p50/p95/p99/p999 {quantile=...} series the fleet SLOs scrape.
-func (m *metricsSet) modelLatency(model string) *obs.Summary {
+// modelLatency returns the per-model end-to-end latency histogram. A
+// windowed quantile is histogram_quantile over rate(..._bucket[1m]),
+// and the buckets sum across the workers behind a fleet router.
+func (m *metricsSet) modelLatency(model string) *obs.Histogram {
 	if m == nil {
 		return nil
 	}
-	return m.reg.Summary("autonomizer_serve_model_latency_seconds",
-		"Sliding-window latency quantiles of served predict requests, per model (submit to batch completion).",
-		obs.Labels{"model": model})
+	return m.reg.Histogram("autonomizer_serve_model_latency_seconds",
+		"Latency of served predict requests, per model (submit to batch completion).",
+		nil, obs.Labels{"model": model})
 }
 
 // shedCounter returns the per-model load-shed counter.

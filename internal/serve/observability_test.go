@@ -306,7 +306,7 @@ func TestStatusz(t *testing.T) {
 }
 
 // TestPerModelLatencyAndStageSeries checks the serving metrics surface:
-// traffic produces the per-model {quantile=...} summary and all four
+// traffic produces the per-model latency histogram and all four
 // per-stage histogram series.
 func TestPerModelLatencyAndStageSeries(t *testing.T) {
 	reg := obs.NewRegistry()
@@ -324,13 +324,13 @@ func TestPerModelLatencyAndStageSeries(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	for _, q := range []string{"0.5", "0.99"} {
-		if !strings.Contains(out, `autonomizer_serve_model_latency_seconds{model="m",quantile="`+q+`"}`) {
-			t.Errorf("missing per-model p%s series:\n%s", q, out)
+	for _, series := range []string{
+		`autonomizer_serve_model_latency_seconds_bucket{model="m",le="+Inf"} 10` + "\n",
+		`autonomizer_serve_model_latency_seconds_count{model="m"} 10` + "\n",
+	} {
+		if !strings.Contains(out, series) {
+			t.Errorf("missing per-model latency series %q:\n%s", series, out)
 		}
-	}
-	if !strings.Contains(out, `autonomizer_serve_model_latency_seconds_count{model="m"} 10`) {
-		t.Errorf("latency summary count != 10:\n%s", out)
 	}
 	for _, stage := range stageName {
 		if !strings.Contains(out, `autonomizer_serve_stage_duration_seconds_count{stage="`+stage+`"}`) {

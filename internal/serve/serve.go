@@ -8,9 +8,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"os"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -40,9 +38,8 @@ type Config struct {
 	Logger *slog.Logger
 	// DriftThreshold is the rolling mean-squared-error above which a
 	// model's drift verdict flips unhealthy, turning /healthz?deep=1
-	// not-ready (DESIGN.md §5h). Zero reads AUTONOMIZER_DRIFT_THRESHOLD,
-	// and with that unset too the monitor records and exports drift but
-	// never flips readiness. Negative forces monitor-only mode.
+	// not-ready (DESIGN.md §5h). Zero or negative is monitor-only: the
+	// monitor records and exports drift but never flips readiness.
 	DriftThreshold float64
 	// DriftWindow is the rolling window drift loss is averaged over
 	// (default 1 minute).
@@ -65,17 +62,6 @@ func (c Config) withDefaults() Config {
 	if c.Logger == nil {
 		c.Logger = obs.Logger()
 	}
-	if c.DriftThreshold == 0 {
-		if s := os.Getenv("AUTONOMIZER_DRIFT_THRESHOLD"); s != "" {
-			v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-			if err != nil || v < 0 {
-				obs.Logger().Warn("bad AUTONOMIZER_DRIFT_THRESHOLD; drift monitor stays monitor-only",
-					"value", s, "err", err)
-			} else {
-				c.DriftThreshold = v
-			}
-		}
-	}
 	if c.DriftThreshold < 0 {
 		c.DriftThreshold = 0
 	}
@@ -84,14 +70,14 @@ func (c Config) withDefaults() Config {
 
 // servedModel is one model's serving state: the atomically swappable
 // engine (the live snapshot), the micro-batcher feeding it, the
-// per-model latency summary and the installation timestamp /statusz
+// per-model latency histogram and the installation timestamp /statusz
 // reports as time-since-last-reload.
 type servedModel struct {
 	name       string
 	eng        atomic.Pointer[engine]
 	b          *batcher
-	lat        *obs.Summary // nil when telemetry is off
-	lastReload atomic.Int64 // unixnano of the most recent Install
+	lat        *obs.Histogram // nil when telemetry is off
+	lastReload atomic.Int64   // unixnano of the most recent Install
 }
 
 // Server is the network inference service: it exposes the query-side

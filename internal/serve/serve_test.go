@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -126,20 +127,38 @@ func TestBinaryJSONParity(t *testing.T) {
 	spec, data, _ := trainModel(t, 22)
 	_, url := newTestServer(t, Config{}, spec, data)
 
-	binCli := NewClient(url)
-	jsonCli := NewClient(url, WithJSONPredict())
 	in := []float64{0.25, 0.75}
-	a, err := binCli.Predict("m", in)
+	a, err := NewClient(url).Predict("m", in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := jsonCli.Predict("m", in)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := predictJSON(t, url, "m", in)
 	if len(a) != len(b) || a[0] != b[0] {
 		t.Fatalf("binary %v != json %v", a, b)
 	}
+}
+
+// predictJSON posts one PredictRequest to the JSON predict endpoint,
+// the encoding curl and check_serve.sh use.
+func predictJSON(t testing.TB, url, model string, in []float64) []float64 {
+	t.Helper()
+	body, err := json.Marshal(PredictRequest{Model: model, Input: in})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(url+"/v1/predict", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("JSON predict answered HTTP %d", resp.StatusCode)
+	}
+	var out PredictResponse
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	return out.Output
 }
 
 // TestBatchWhenBusy pins the batching semantics of DESIGN.md §5d: the

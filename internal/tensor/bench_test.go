@@ -19,7 +19,9 @@ import (
 //     (4×32×32 → 8, 3×3, stride 1, pad 1): the materialized references
 //     against the implicit-GEMM ConvKernel. Forward's reference is
 //     Im2Col plus the same packed GEBP; backward's is the 4×4 a×bᵀ and
-//     aᵀ×b loops plus Col2Im.
+//     aᵀ×b loops plus Col2Im. ConvRatio reports the median of 9
+//     interleaved in-process samples of im2col/implicit per direction
+//     (the conv gate in check_kernels.sh).
 //   - RowAXPY and AdamStep: the training-step kernels on one example of
 //     the 64→32 layer (both backward products) and on the 2,788
 //     parameters of the 8→64→32→4 DNN.
@@ -55,49 +57,52 @@ func BenchmarkKernels(b *testing.B) {
 	fillPseudo(gout, 23)
 	geom := NewConvGeom(inC, hw, hw, 3, 3, 1, 1, outC)
 
-	b.Run("ConvForwardIm2Col", func(b *testing.B) {
-		cols := New(taps, hw*hw)
-		out := New(outC, hw*hw)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			Im2ColInto(cols, in, 3, 3, 1, 1)
-			gebpVia(kern, out, w, cols)
-		}
-	})
+	// One closure per side and direction, shared by the Conv*
+	// sub-benchmarks and ConvRatio so both time the same work.
+	fwdCols, fwdOut := New(taps, hw*hw), New(outC, hw*hw)
+	convForwardIm2Col := func() {
+		Im2ColInto(fwdCols, in, 3, 3, 1, 1)
+		gebpVia(kern, fwdOut, w, fwdCols)
+	}
+	fwdKernel, fwdOutFlat := NewConvKernel(geom), make([]float64, outC*hw*hw)
+	convForwardImplicit := func() { fwdKernel.Forward(fwdOutFlat, in.Data(), w.Data()) }
+	bwdCols := Im2Col(in, 3, 3, 1, 1)
+	gradW, gradCols, gradIn := New(outC, taps), New(taps, hw*hw), New(inC, hw, hw)
+	convBackwardIm2Col := func() {
+		matMulABTRange(gradW.data, gout.data, bwdCols.data, 0, outC, hw*hw, taps)
+		matMulATBRange(gradCols.data, w.data, gout.data, 0, taps, outC, taps, hw*hw)
+		Col2ImInto(gradIn, gradCols, inC, hw, hw, 3, 3, 1, 1)
+	}
+	bwdKernel := NewConvKernel(geom)
+	gradWFlat, gradInFlat := make([]float64, outC*taps), make([]float64, inC*hw*hw)
+	convBackwardImplicit := func() {
+		bwdKernel.Backward(gradWFlat, gradInFlat, in.Data(), w.Data(), gout.Data())
+	}
+	for _, c := range []struct {
+		name string
+		fn   func()
+	}{
+		{"ConvForwardIm2Col", convForwardIm2Col},
+		{"ConvForwardImplicit", convForwardImplicit},
+		{"ConvBackwardIm2Col", convBackwardIm2Col},
+		{"ConvBackwardImplicit", convBackwardImplicit},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				c.fn()
+			}
+		})
+	}
 
-	b.Run("ConvForwardImplicit", func(b *testing.B) {
-		ck := NewConvKernel(geom)
-		out := make([]float64, outC*hw*hw)
-		b.ReportAllocs()
-		b.ResetTimer()
+	b.Run("ConvRatio", func(b *testing.B) {
+		var fwd, bwd float64
 		for i := 0; i < b.N; i++ {
-			ck.Forward(out, in.Data(), w.Data())
+			fwd, _, _ = interleavedRatio(9, 10, convForwardIm2Col, convForwardImplicit)
+			bwd, _, _ = interleavedRatio(9, 10, convBackwardIm2Col, convBackwardImplicit)
 		}
-	})
-
-	b.Run("ConvBackwardIm2Col", func(b *testing.B) {
-		cols := Im2Col(in, 3, 3, 1, 1)
-		gradW := New(outC, taps)
-		gradCols := New(taps, hw*hw)
-		gradIn := New(inC, hw, hw)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			matMulABTRange(gradW.data, gout.data, cols.data, 0, outC, hw*hw, taps)
-			matMulATBRange(gradCols.data, w.data, gout.data, 0, taps, outC, taps, hw*hw)
-			Col2ImInto(gradIn, gradCols, inC, hw, hw, 3, 3, 1, 1)
-		}
-	})
-
-	b.Run("ConvBackwardImplicit", func(b *testing.B) {
-		ck := NewConvKernel(geom)
-		gradW := make([]float64, outC*taps)
-		gradIn := make([]float64, inC*hw*hw)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			ck.Backward(gradW, gradIn, in.Data(), w.Data(), gout.Data())
-		}
+		b.ReportMetric(fwd, "fwd-im2col/implicit")
+		b.ReportMetric(bwd, "bwd-im2col/implicit")
 	})
 
 	b.Run("RowAXPY", func(b *testing.B) {
@@ -129,33 +134,38 @@ func BenchmarkKernels(b *testing.B) {
 
 	b.Run("DenseTrainRatio", func(b *testing.B) {
 		ref, fast := newDenseTrainNet(), newDenseTrainNet()
-		const samples, reps = 9, 20
-		ratios := make([]float64, 0, samples)
-		refNs := make([]float64, 0, samples)
-		kernNs := make([]float64, 0, samples)
-		b.ResetTimer()
+		var ratio, refNs, kernNs float64
 		for i := 0; i < b.N; i++ {
-			ratios, refNs, kernNs = ratios[:0], refNs[:0], kernNs[:0]
-			for s := 0; s < samples; s++ {
-				// Alternate which side runs first, so drift in host speed
-				// within a sample does not favour either.
-				var tr, tk time.Duration
-				if s%2 == 0 {
-					tr = timeReps(reps, ref.stepRef)
-					tk = timeReps(reps, fast.stepKernels)
-				} else {
-					tk = timeReps(reps, fast.stepKernels)
-					tr = timeReps(reps, ref.stepRef)
-				}
-				ratios = append(ratios, float64(tr)/float64(tk))
-				refNs = append(refNs, float64(tr)/reps)
-				kernNs = append(kernNs, float64(tk)/reps)
-			}
+			ratio, refNs, kernNs = interleavedRatio(9, 20, ref.stepRef, fast.stepKernels)
 		}
-		b.ReportMetric(median(ratios), "ref/kernel")
-		b.ReportMetric(median(refNs), "ref-ns/batch")
-		b.ReportMetric(median(kernNs), "kernel-ns/batch")
+		b.ReportMetric(ratio, "ref/kernel")
+		b.ReportMetric(refNs, "ref-ns/batch")
+		b.ReportMetric(kernNs, "kernel-ns/batch")
 	})
+}
+
+// interleavedRatio times reps calls of ref and of fast in each of
+// samples samples, alternating which side runs first so drift in host
+// speed within a sample does not favour either. It returns the median
+// per-sample ratio ref/fast and each side's median time per call in ns.
+func interleavedRatio(samples, reps int, ref, fast func()) (ratio, refNs, fastNs float64) {
+	ratios := make([]float64, 0, samples)
+	refs := make([]float64, 0, samples)
+	fasts := make([]float64, 0, samples)
+	for s := 0; s < samples; s++ {
+		var tr, tf time.Duration
+		if s%2 == 0 {
+			tr = timeReps(reps, ref)
+			tf = timeReps(reps, fast)
+		} else {
+			tf = timeReps(reps, fast)
+			tr = timeReps(reps, ref)
+		}
+		ratios = append(ratios, float64(tr)/float64(tf))
+		refs = append(refs, float64(tr)/float64(reps))
+		fasts = append(fasts, float64(tf)/float64(reps))
+	}
+	return median(ratios), median(refs), median(fasts)
 }
 
 // timeReps returns the wall time of reps calls of f.

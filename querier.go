@@ -106,10 +106,6 @@ type DriftConfig = obs.DriftConfig
 // WithHTTPClient substitutes the client's HTTP transport.
 func WithHTTPClient(hc *http.Client) ClientOption { return serve.WithHTTPClient(hc) }
 
-// WithJSONPredict disables the binary Predict fast path in favor of
-// JSON bodies.
-func WithJSONPredict() ClientOption { return serve.WithJSONPredict() }
-
 // WithRetry makes a remote Querier retry transient failures — shed
 // requests (ErrOverloaded) and dead or missing backends
 // (ErrUnavailable) — with jittered exponential backoff under p:

@@ -25,8 +25,10 @@
 #
 # The conv gate compares the implicit-GEMM convolution (gather fused
 # into GEBP packing, DESIGN.md §5j) against the materialized im2col
-# lowering on the same geometry, forward and backward, inside one
-# benchmark process — a ratio, so host-speed jitter cancels. The fusion
+# lowering on the same geometry, forward and backward.
+# BenchmarkKernels/ConvRatio reports the median of 9 interleaved
+# in-process samples of im2col/implicit per direction, so host-speed
+# drift cancels, as in the dense-training gate below. The fusion
 # helps the generic kernels too (it removes the column matrix and its
 # re-pack), hence a floor above 1x even without AVX2.
 #
@@ -97,25 +99,24 @@ awk -v naive="$naive" -v blocked="$blocked" -v floor="$floor" -v kernel="$kernel
     }
 }'
 
-# Conv gate: implicit-GEMM vs materialized im2col, forward and backward.
-conv_out=$(go test -bench 'BenchmarkKernels/Conv(Forward|Backward)(Im2Col|Implicit)$' \
-    -benchtime 50x -run '^$' ./internal/tensor/)
+# Conv gate: implicit-GEMM vs materialized im2col, forward and backward,
+# median of interleaved samples inside one process.
+conv_out=$(go test -bench 'BenchmarkKernels/ConvRatio$' -benchtime 1x -run '^$' ./internal/tensor/)
 printf '%s\n' "$conv_out"
-
-fwd_ref=$(printf '%s\n' "$conv_out" | awk '$1 ~ /ConvForwardIm2Col(-|$)/ { print $3; exit }')
-fwd_imp=$(printf '%s\n' "$conv_out" | awk '$1 ~ /ConvForwardImplicit(-|$)/ { print $3; exit }')
-bwd_ref=$(printf '%s\n' "$conv_out" | awk '$1 ~ /ConvBackwardIm2Col(-|$)/ { print $3; exit }')
-bwd_imp=$(printf '%s\n' "$conv_out" | awk '$1 ~ /ConvBackwardImplicit(-|$)/ { print $3; exit }')
-if [ -z "$fwd_ref" ] || [ -z "$fwd_imp" ] || [ -z "$bwd_ref" ] || [ -z "$bwd_imp" ]; then
+ratio_of() {
+    printf '%s\n' "$conv_out" | awk -v unit="$1" '$1 ~ /ConvRatio(-|$)/ {
+        for (i = 2; i <= NF; i++) if ($i == unit) { print $(i-1); exit }
+    }'
+}
+fwd=$(ratio_of fwd-im2col/implicit)
+bwd=$(ratio_of bwd-im2col/implicit)
+if [ -z "$fwd" ] || [ -z "$bwd" ]; then
     echo "FAIL: missing conv benchmark output" >&2
     exit 1
 fi
 
-awk -v fr="$fwd_ref" -v fi="$fwd_imp" -v br="$bwd_ref" -v bi="$bwd_imp" \
-    -v floor="$conv_floor" -v kernel="$kernel" 'BEGIN {
-    fwd = fr / fi
-    bwd = br / bi
-    printf "kernel gate: implicit-GEMM conv speedup forward %.2fx backward %.2fx (floor %.1fx, kernel %s)\n",
+awk -v fwd="$fwd" -v bwd="$bwd" -v floor="$conv_floor" -v kernel="$kernel" 'BEGIN {
+    printf "kernel gate: implicit-GEMM conv speedup (median of interleaved samples) forward %.2fx backward %.2fx (floor %.1fx, kernel %s)\n",
         fwd, bwd, floor, kernel
     if (fwd < floor || bwd < floor) {
         printf "FAIL: conv speedup (fwd %.2fx, bwd %.2fx) below floor %.1fx.\n", fwd, bwd, floor > "/dev/stderr"

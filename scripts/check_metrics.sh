@@ -4,17 +4,15 @@
 # Polls a running telemetry endpoint (default http://127.0.0.1:9090)
 # until /metrics answers, then asserts the exposition carries the metric
 # families the runtime contract promises (DESIGN.md §5c/§5h): per-
-# primitive call counters, latency histograms and sliding-window
-# quantile summaries, auerr-classed error counters, db/ckpt activity,
-# the expvar mirror on /debug/vars, the /statusz and /healthz
-# deep-health surface, and that the whole exposition parses as
-# well-formed Prometheus text (no duplicate HELP/TYPE, sane line
-# grammar).
+# primitive call counters and latency histograms, auerr-classed error
+# counters, db/ckpt activity, the /statusz and /healthz deep-health
+# surface, and that the whole exposition parses as well-formed
+# Prometheus text (no duplicate HELP/TYPE, sane line grammar).
 #
 # Usage:
 #   check_metrics.sh [BASE]          core mode: against `autonomizer -telemetry BASE serve`
 #   check_metrics.sh BASE serve      serve mode: against a running auserve (asserts the
-#                                    serving stage histograms, per-model latency quantiles
+#                                    serving stage histograms, per-model latency histogram
 #                                    and the drift surface instead of the core families)
 set -euo pipefail
 
@@ -42,17 +40,13 @@ require() {
 }
 
 if [ "$MODE" != "serve" ]; then
-    # Per-primitive call counters, latency histograms and sliding-window
-    # quantile summaries (closed vocabulary).
+    # Per-primitive call counters and latency histograms (closed
+    # vocabulary).
     for p in config extract serialize nn nnrl write_back checkpoint restore fit predict; do
         require "^autonomizer_core_primitive_calls_total\{primitive=\"$p\"\} [1-9]" "calls counter for $p"
         require "^autonomizer_core_primitive_duration_seconds_count\{primitive=\"$p\"\} [1-9]" "latency histogram for $p"
     done
     require '^autonomizer_core_primitive_duration_seconds_bucket\{.*le="\+Inf"\}' "cumulative +Inf bucket"
-    for q in 0.5 0.95 0.99 0.999; do
-        require "^autonomizer_core_primitive_latency_seconds\{primitive=\"predict\",quantile=\"$q\"\} [0-9]" "p$q latency quantile for predict"
-    done
-    require '^autonomizer_core_primitive_latency_seconds_count\{primitive="predict"\} [1-9]' "latency summary count"
 
     # auerr-classed error counters (the serve workload provokes one failure).
     require '^autonomizer_core_primitive_errors_total\{class="[a-z_]+",primitive="[a-z_]+"\} [1-9]' "classed error counter"
@@ -76,9 +70,8 @@ else
     for st in queue_wait batch_assemble engine_predict response_encode; do
         require "^autonomizer_serve_stage_duration_seconds_count\{stage=\"$st\"\} [1-9]" "stage histogram for $st"
     done
-    for q in 0.5 0.99; do
-        require "^autonomizer_serve_model_latency_seconds\{model=\"demo\",quantile=\"$q\"\} [0-9]" "p$q serving latency for demo"
-    done
+    require '^autonomizer_serve_model_latency_seconds_bucket\{model="demo",le="\+Inf"\} [1-9]' "serving latency +Inf bucket for demo"
+    require '^autonomizer_serve_model_latency_seconds_count\{model="demo"\} [1-9]' "serving latency count for demo"
     require '^autonomizer_serve_model_version\{model="demo"\} [1-9]' "model version gauge"
     require '^autonomizer_serve_queue_depth\{model="demo"\} [0-9]' "queue depth gauge"
 
@@ -94,15 +87,6 @@ else
     require '^autonomizer_drift_loss\{model="demo"\} [0-9]' "drift loss gauge"
     require '^autonomizer_drift_healthy\{model="demo"\} 1' "drift verdict gauge"
     require '^autonomizer_drift_observations_total\{model="demo"\} [1-9]' "drift observation counter"
-fi
-
-# The expvar mirror serves the same registry as JSON. (Buffer before
-# grep: under pipefail, grep -q exiting early would fail curl with
-# SIGPIPE.)
-debugvars=$(curl -fsS "$BASE/debug/vars" || true)
-if ! grep -q autonomizer_metrics <<<"$debugvars"; then
-    echo "FAIL: /debug/vars missing the autonomizer_metrics key" >&2
-    fail=1
 fi
 
 # Liveness/readiness split: plain /healthz is 200, deep adds checks and
