@@ -1,11 +1,6 @@
 package db
 
-import (
-	"context"
-	"fmt"
-	"sync"
-	"time"
-)
+import "fmt"
 
 // Compaction: the log is collapsed into a snapshot record at the head of
 // a fresh segment ("snapshot+tail"). The protocol is crash-safe without
@@ -63,45 +58,9 @@ func (w *WAL) Compact(snapshot []Record) error {
 }
 
 // SinceCompaction reports bytes appended since the last compaction (or
-// open), the trigger input for background compaction policies.
+// open).
 func (w *WAL) SinceCompaction() int64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.sinceComp
-}
-
-// AutoCompact runs fn-driven compaction in the background: every
-// interval it checks whether the log has grown by at least threshold
-// bytes since the last compaction and, if so, invokes compact (which is
-// expected to call Compact with a fresh snapshot). It returns a stop
-// function; the loop also exits when ctx is canceled. Compaction errors
-// are reported through onErr (nil to ignore).
-func AutoCompact(ctx context.Context, w *WAL, interval time.Duration, threshold int64, compact func() error, onErr func(error)) (stop func()) {
-	if interval <= 0 {
-		interval = 10 * time.Second
-	}
-	if threshold <= 0 {
-		threshold = 1 << 20
-	}
-	done := make(chan struct{})
-	go func() {
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-done:
-				return
-			case <-t.C:
-				if w.SinceCompaction() >= threshold {
-					if err := compact(); err != nil && onErr != nil {
-						onErr(err)
-					}
-				}
-			}
-		}
-	}()
-	var once sync.Once
-	return func() { once.Do(func() { close(done) }) }
 }

@@ -13,19 +13,12 @@ import (
 // them across calls (tensor.Reuse), so the steady-state forward/backward
 // path allocates nothing. Returned tensors are valid until the next call
 // on the same layer; callers needing longer lifetimes must Clone.
-
-// ReLU is the rectified-linear activation max(0, x).
-type ReLU struct {
-	// mask holds, per input of the last Forward, all ones where x > 0
-	// and zero elsewhere. Forward and Backward AND it into the bits of
-	// their operand instead of branching on random signs.
-	mask    []uint64
-	out     *tensor.Tensor
-	gradBuf *tensor.Tensor
-}
-
-// NewReLU returns a ReLU activation layer.
-func NewReLU() *ReLU { return &ReLU{} }
+//
+// Each activation's forward formula is written once, as a slice kernel
+// below (leakyReLUInto in extras.go, maxPool and addBias in conv.go):
+// the layer's Forward and the compiled plan's op (compile.go) both call
+// it, so a plan computes exactly what the network computes. A kernel
+// writes f(src[i]) into dst[i] and allows dst to be src.
 
 // positiveMask returns all ones when the float64 with bits b is > 0 and
 // zero otherwise, without a branch. x > 0 exactly when its bits lie in
@@ -36,36 +29,95 @@ func positiveMask(b uint64) uint64 {
 	return -borrow
 }
 
-// Forward applies max(0, x) elementwise: x where x > 0, +0 elsewhere
-// (-0, NaN and -Inf included).
+// relu is max(0, x): x where x > 0, +0 elsewhere (-0, NaN and -Inf
+// included). It ANDs the mask into x's bits instead of branching on
+// random signs.
+func relu(x float64) float64 {
+	b := math.Float64bits(x)
+	return math.Float64frombits(b & positiveMask(b))
+}
+
+// reluInto is the ReLU kernel.
+func reluInto(dst, src []float64) {
+	dst = dst[:len(src)]
+	for i, x := range src {
+		dst[i] = relu(x)
+	}
+}
+
+// sigmoidInto is the logistic kernel 1/(1+e^-x).
+func sigmoidInto(dst, src []float64) {
+	dst = dst[:len(src)]
+	for i, x := range src {
+		dst[i] = 1 / (1 + math.Exp(-x))
+	}
+}
+
+// tanhInto is the tanh kernel.
+func tanhInto(dst, src []float64) {
+	dst = dst[:len(src)]
+	for i, x := range src {
+		dst[i] = math.Tanh(x)
+	}
+}
+
+// softmaxInto is the numerically stable softmax kernel: e^(x-max), then
+// one multiply by the reciprocal of their sum.
+func softmaxInto(dst, src []float64) {
+	dst = dst[:len(src)]
+	max := math.Inf(-1)
+	for _, x := range src {
+		if x > max {
+			max = x
+		}
+	}
+	sum := 0.0
+	for i, x := range src {
+		e := math.Exp(x - max)
+		dst[i] = e
+		sum += e
+	}
+	if sum == 0 {
+		auerr.Failf("nn: softmax sum underflowed to zero")
+	}
+	inv := 1 / sum
+	for i := range dst {
+		dst[i] *= inv
+	}
+}
+
+// ReLU is the rectified-linear activation max(0, x).
+type ReLU struct {
+	// in views the input of the last Forward; Backward recomputes the
+	// positive mask from it, so the caller must not mutate the input
+	// between Forward and the matching Backward (DESIGN.md §5e).
+	in      []float64
+	out     *tensor.Tensor
+	gradBuf *tensor.Tensor
+}
+
+// NewReLU returns a ReLU activation layer.
+func NewReLU() *ReLU { return &ReLU{} }
+
+// Forward applies relu elementwise.
 func (r *ReLU) Forward(in *tensor.Tensor) *tensor.Tensor {
+	r.in = in.Data()
 	r.out = tensor.Reuse(r.out, in.Shape()...)
-	if cap(r.mask) < in.Size() {
-		r.mask = make([]uint64, in.Size())
-	}
-	mask := r.mask[:in.Size()]
-	r.mask = mask
-	od := r.out.Data()[:len(mask)]
-	for i, x := range in.Data()[:len(mask)] {
-		b := math.Float64bits(x)
-		m := positiveMask(b)
-		mask[i] = m
-		od[i] = math.Float64frombits(b & m)
-	}
+	reluInto(r.out.Data(), r.in)
 	return r.out
 }
 
 // Backward passes the gradient where the input was positive and +0
 // elsewhere.
 func (r *ReLU) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	if len(r.mask) != gradOut.Size() {
+	if len(r.in) != gradOut.Size() {
 		auerr.Failf("nn: ReLU Backward shape mismatch or called before Forward")
 	}
 	r.gradBuf = tensor.Reuse(r.gradBuf, gradOut.Shape()...)
-	mask := r.mask
-	od := r.gradBuf.Data()[:len(mask)]
-	for i, g := range gradOut.Data()[:len(mask)] {
-		od[i] = math.Float64frombits(math.Float64bits(g) & mask[i])
+	in := r.in
+	od := r.gradBuf.Data()[:len(in)]
+	for i, g := range gradOut.Data()[:len(in)] {
+		od[i] = math.Float64frombits(math.Float64bits(g) & positiveMask(math.Float64bits(in[i])))
 	}
 	return r.gradBuf
 }
@@ -95,12 +147,8 @@ func NewSigmoid() *Sigmoid { return &Sigmoid{} }
 // Forward applies the logistic function elementwise.
 func (s *Sigmoid) Forward(in *tensor.Tensor) *tensor.Tensor {
 	s.lastOut = tensor.Reuse(s.lastOut, in.Shape()...)
-	out := s.lastOut
-	od := out.Data()
-	for i, x := range in.Data() {
-		od[i] = 1 / (1 + math.Exp(-x))
-	}
-	return out
+	sigmoidInto(s.lastOut.Data(), in.Data())
+	return s.lastOut
 }
 
 // Backward multiplies by the sigmoid derivative y(1-y).
@@ -142,12 +190,8 @@ func NewTanh() *Tanh { return &Tanh{} }
 // Forward applies tanh elementwise.
 func (t *Tanh) Forward(in *tensor.Tensor) *tensor.Tensor {
 	t.lastOut = tensor.Reuse(t.lastOut, in.Shape()...)
-	out := t.lastOut
-	od := out.Data()
-	for i, x := range in.Data() {
-		od[i] = math.Tanh(x)
-	}
-	return out
+	tanhInto(t.lastOut.Data(), in.Data())
+	return t.lastOut
 }
 
 // Backward multiplies by 1 - y².
@@ -229,25 +273,8 @@ func NewSoftmax() *Softmax { return &Softmax{} }
 // Forward computes the numerically stable softmax.
 func (s *Softmax) Forward(in *tensor.Tensor) *tensor.Tensor {
 	s.out = tensor.Reuse(s.out, in.Shape()...)
-	out := s.out
-	max := math.Inf(-1)
-	for _, x := range in.Data() {
-		if x > max {
-			max = x
-		}
-	}
-	sum := 0.0
-	od := out.Data()
-	for i, x := range in.Data() {
-		e := math.Exp(x - max)
-		od[i] = e
-		sum += e
-	}
-	if sum == 0 {
-		auerr.Failf("nn: softmax sum underflowed to zero")
-	}
-	out.ScaleInPlace(1 / sum)
-	return out
+	softmaxInto(s.out.Data(), in.Data())
+	return s.out
 }
 
 // Backward passes the gradient through unchanged; see the type comment.

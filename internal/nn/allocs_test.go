@@ -33,10 +33,8 @@ func TestForwardZeroAllocs(t *testing.T) {
 		t.Errorf("DNN Forward allocs/op = %v, want 0", n)
 	}
 
-	// The conv stack is now fully allocation-free too: the implicit-GEMM
-	// ConvKernel dispatches persistent shard closures (built once at
-	// construction) instead of per-call closure literals, and every
-	// transient buffer comes from the scratch arena.
+	// The conv stack holds the same line: the implicit-GEMM ConvKernel
+	// and every layer after it run on layer-owned buffers.
 	cin := tensor.New(4, 32, 32)
 	cnn.Forward(cin)
 	if n := testing.AllocsPerRun(100, func() { cnn.Forward(cin) }); n != 0 {
@@ -54,6 +52,13 @@ func TestForwardZeroAllocs(t *testing.T) {
 		t.Errorf("CNN forward+backward allocs/op = %v, want 0", n)
 	}
 
+	act := activationNet(rng.Split())
+	ain := tensor.New(16)
+	act.Forward(ain)
+	if n := testing.AllocsPerRun(100, func() { act.Forward(ain) }); n != 0 {
+		t.Errorf("activation-stack Forward allocs/op = %v, want 0", n)
+	}
+
 	flat := make([]float64, 64)
 	out := make([]float64, 16)
 	dnn.PredictInto(out, flat)
@@ -62,19 +67,38 @@ func TestForwardZeroAllocs(t *testing.T) {
 	}
 }
 
+// activationNet is a dense stack through every other activation kind,
+// with a training-mode Dropout, for the allocation tests.
+func activationNet(rng *stats.RNG) *Network {
+	return NewNetwork(
+		NewDense(16, 32, rng.Split()), NewLeakyReLU(0.1),
+		NewDense(32, 32, rng.Split()), NewTanh(),
+		NewDense(32, 32, rng.Split()), NewSigmoid(), NewDropout(0.25, rng.Split()),
+		NewDense(32, 8, rng.Split()), NewSoftmax(),
+	)
+}
+
 // TestBackwardZeroAllocs checks a full forward/loss-grad/backward cycle
 // (the per-example body of sequential TrainBatch) is allocation-free in
 // steady state.
 func TestBackwardZeroAllocs(t *testing.T) {
-	net := NewDNN(64, []int{128, 64}, 16, stats.NewRNG(3))
-	in, target := tensor.New(64), tensor.New(16)
-	step := func() {
-		pred := net.Forward(in)
-		net.Backward(net.lossGrad(pred, target))
+	rng := stats.NewRNG(3)
+	nets := map[string]*Network{
+		"dnn":         NewDNN(64, []int{128, 64}, 16, rng.Split()),
+		"activations": activationNet(rng.Split()),
 	}
-	net.ZeroGrads()
-	step() // warm-up
-	if n := testing.AllocsPerRun(100, step); n != 0 {
-		t.Errorf("forward+backward allocs/op = %v, want 0", n)
+	for name, net := range nets {
+		in := tensor.New(net.Layers()[0].(*Dense).InSize)
+		in.Fill(0.5)
+		target := tensor.New(net.Forward(in).Size())
+		step := func() {
+			pred := net.Forward(in)
+			net.Backward(net.lossGrad(pred, target))
+		}
+		net.ZeroGrads()
+		step() // warm-up
+		if n := testing.AllocsPerRun(100, step); n != 0 {
+			t.Errorf("%s forward+backward allocs/op = %v, want 0", name, n)
+		}
 	}
 }

@@ -17,13 +17,13 @@
 // Determinism contract: a plan's output is bit-identical to
 // Network.Forward on the same weights at every width — the packed dense
 // op reproduces Dot's two-rounding multiply-then-add fold, the packed
-// conv op reproduces the im2col×weights FMA fold, and every activation
-// op copies the layer formula exactly. Enforced by compile_test.go.
+// conv op reproduces the im2col×weights FMA fold, and the activation,
+// pooling and bias ops call the very kernels the layers' Forward calls.
+// Enforced by compile_test.go.
 package nn
 
 import (
 	"fmt"
-	"math"
 
 	"github.com/autonomizer/autonomizer/internal/auerr"
 	"github.com/autonomizer/autonomizer/internal/tensor"
@@ -83,10 +83,8 @@ func Compile(net *Network, inShape ...int) (*Plan, error) {
 		}
 		if cl != nil { // identity layers compile to nothing
 			// Peephole: fold a ReLU straight into a preceding conv's
-			// bias pass. The fused op computes bias-add then the exact
-			// ReLU formula per element — the same two steps the separate
-			// ops perform, one 2·OutC·N-float memory sweep cheaper.
-			if m, ok := cl.(*cMap); ok && m.kind == mapReLU && len(p.layers) > 0 {
+			// bias pass (addBias withReLU).
+			if _, ok := l.(*ReLU); ok && len(p.layers) > 0 {
 				if cc, ok := p.layers[len(p.layers)-1].(*cConv); ok && !cc.fuseReLU {
 					cc.fuseReLU = true
 					shape = outShape
@@ -141,17 +139,18 @@ func compileLayer(l Layer, shape []int) (compiledLayer, []int, error) {
 		if oh == 0 || ow == 0 {
 			return nil, nil, fmt.Errorf("nn: compile maxpool window %d too large for %v", l.Size, shape)
 		}
-		return &cPool{size: l.Size, c: c, h: h, w: w, oh: oh, ow: ow}, []int{c, oh, ow}, nil
+		return &cPool{size: l.Size, c: c, h: h, w: w, outSize: c * oh * ow}, []int{c, oh, ow}, nil
 	case *ReLU:
-		return &cMap{kind: mapReLU, size: size}, shape, nil
+		return &cMap{f: reluInto, size: size}, shape, nil
 	case *LeakyReLU:
-		return &cMap{kind: mapLeakyReLU, alpha: l.Alpha, size: size}, shape, nil
+		alpha := l.Alpha // snapshot, like the weights
+		return &cMap{f: func(dst, src []float64) { leakyReLUInto(dst, src, alpha) }, size: size}, shape, nil
 	case *Sigmoid:
-		return &cMap{kind: mapSigmoid, size: size}, shape, nil
+		return &cMap{f: sigmoidInto, size: size}, shape, nil
 	case *Tanh:
-		return &cMap{kind: mapTanh, size: size}, shape, nil
+		return &cMap{f: tanhInto, size: size}, shape, nil
 	case *Softmax:
-		return &cMap{kind: mapSoftmax, size: size}, shape, nil
+		return &cMap{f: softmaxInto, size: size}, shape, nil
 	case *Flatten:
 		return nil, []int{size}, nil
 	case *Dropout:
@@ -251,7 +250,6 @@ func (c *cConv) newOp() planOp {
 	return &opConv{
 		c:          c,
 		n:          g.Cols(),
-		outC:       g.OutC,
 		packedCols: make([]float64, c.pc.PackedColsLen()),
 		out2d:      make([]float64, g.OutC*g.Cols()),
 	}
@@ -259,42 +257,23 @@ func (c *cConv) newOp() planOp {
 
 type opConv struct {
 	c          *cConv
-	n, outC    int
+	n          int
 	packedCols []float64
 	out2d      []float64
 }
 
 func (o *opConv) run(in []float64) []float64 {
 	o.c.pc.Forward(o.out2d, in, o.packedCols)
-	for oc := 0; oc < o.outC; oc++ {
-		b := o.c.bias[oc]
-		row := o.out2d[oc*o.n : (oc+1)*o.n]
-		if o.c.fuseReLU {
-			// Bias add, then the exact mapReLU formula (x > 0 keeps x,
-			// everything else — including NaN — becomes 0), per element
-			// in the same order as the unfused op pair.
-			for i := range row {
-				if v := row[i] + b; v > 0 {
-					row[i] = v
-				} else {
-					row[i] = 0
-				}
-			}
-			continue
-		}
-		for i := range row {
-			row[i] += b
-		}
-	}
+	addBias(o.out2d, o.c.bias, o.n, o.c.fuseReLU)
 	return o.out2d
 }
 
 // --- maxpool ---
 
-type cPool struct{ size, c, h, w, oh, ow int }
+type cPool struct{ size, c, h, w, outSize int }
 
 func (c *cPool) newOp() planOp {
-	return &opPool{c: c, out: make([]float64, c.c*c.oh*c.ow)}
+	return &opPool{c: c, out: make([]float64, c.outSize)}
 }
 
 type opPool struct {
@@ -303,72 +282,16 @@ type opPool struct {
 }
 
 func (o *opPool) run(in []float64) []float64 {
-	c := o.c
-	if c.size == 2 {
-		// The dominant CNN case (2×2 pool) unrolled: same comparison
-		// order as the general loop — (0,0),(0,1),(1,0),(1,1) against a
-		// -Inf start with strict >, so NaN never wins — hence
-		// bit-identical, without the window-loop overhead.
-		for ch := 0; ch < c.c; ch++ {
-			for oy := 0; oy < c.oh; oy++ {
-				r0 := in[(ch*c.h+2*oy)*c.w:]
-				r1 := in[(ch*c.h+2*oy+1)*c.w:]
-				orow := o.out[(ch*c.oh+oy)*c.ow:]
-				for ox := 0; ox < c.ow; ox++ {
-					best := math.Inf(-1)
-					if v := r0[2*ox]; v > best {
-						best = v
-					}
-					if v := r0[2*ox+1]; v > best {
-						best = v
-					}
-					if v := r1[2*ox]; v > best {
-						best = v
-					}
-					if v := r1[2*ox+1]; v > best {
-						best = v
-					}
-					orow[ox] = best
-				}
-			}
-		}
-		return o.out
-	}
-	for ch := 0; ch < c.c; ch++ {
-		for oy := 0; oy < c.oh; oy++ {
-			for ox := 0; ox < c.ow; ox++ {
-				best := math.Inf(-1)
-				for dy := 0; dy < c.size; dy++ {
-					for dx := 0; dx < c.size; dx++ {
-						iy, ix := oy*c.size+dy, ox*c.size+dx
-						if v := in[(ch*c.h+iy)*c.w+ix]; v > best {
-							best = v
-						}
-					}
-				}
-				o.out[(ch*c.oh+oy)*c.ow+ox] = best
-			}
-		}
-	}
+	maxPool(o.out, in, o.c.c, o.c.h, o.c.w, o.c.size)
 	return o.out
 }
 
 // --- elementwise maps ---
 
-type mapKind int
-
-const (
-	mapReLU mapKind = iota
-	mapLeakyReLU
-	mapSigmoid
-	mapTanh
-	mapSoftmax
-)
-
+// cMap is an activation op: f is the layer's own kernel.
 type cMap struct {
-	kind  mapKind
-	alpha float64
-	size  int
+	f    func(dst, src []float64)
+	size int
 }
 
 func (c *cMap) newOp() planOp {
@@ -381,52 +304,6 @@ type opMap struct {
 }
 
 func (o *opMap) run(in []float64) []float64 {
-	out := o.out
-	switch o.c.kind {
-	case mapReLU:
-		for i, x := range in {
-			if x > 0 {
-				out[i] = x
-			} else {
-				out[i] = 0
-			}
-		}
-	case mapLeakyReLU:
-		for i, x := range in {
-			if x < 0 {
-				out[i] = o.c.alpha * x
-			} else {
-				out[i] = x
-			}
-		}
-	case mapSigmoid:
-		for i, x := range in {
-			out[i] = 1 / (1 + math.Exp(-x))
-		}
-	case mapTanh:
-		for i, x := range in {
-			out[i] = math.Tanh(x)
-		}
-	case mapSoftmax:
-		max := math.Inf(-1)
-		for _, x := range in {
-			if x > max {
-				max = x
-			}
-		}
-		sum := 0.0
-		for i, x := range in {
-			e := math.Exp(x - max)
-			out[i] = e
-			sum += e
-		}
-		if sum == 0 {
-			auerr.Failf("nn: softmax sum underflowed to zero")
-		}
-		inv := 1 / sum
-		for i := range out {
-			out[i] *= inv
-		}
-	}
-	return out
+	o.c.f(o.out, in)
+	return o.out
 }

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
@@ -130,6 +131,59 @@ func TestCompiledCNNBitIdentical(t *testing.T) {
 				bitsEqual(t, b.name, got, want)
 			}
 			runtime.GOMAXPROCS(restore)
+		}
+	}
+}
+
+// TestCompiledActivationsBitIdentical runs each activation and pooling
+// layer alone through the plan and the network on NaNs with payloads,
+// ±Inf, ±0, subnormals and extremes: the two must agree bit for bit.
+func TestCompiledActivationsBitIdentical(t *testing.T) {
+	specials := []float64{
+		math.NaN(), math.Float64frombits(0xfff0000000000042), math.Float64frombits(0x7ff8000000000123),
+		math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1),
+		math.Float64frombits(1), -math.Float64frombits(1), math.Float64frombits(0x000fffffffffffff),
+		math.MaxFloat64, -math.MaxFloat64, 1.5, -2.5, 710, -745,
+	}
+	finite := []float64{0, math.Copysign(0, -1), math.Float64frombits(1), -math.Float64frombits(1),
+		1e-300, -1e-300, 700, -700, 1.5, -2.5, 20, -20, 0.125, 3, -1e-8, 1e-8}
+	inference := NewDropout(0.5, stats.NewRNG(1))
+	inference.SetTraining(false)
+	cases := []struct {
+		layer Layer
+		shape []int
+	}{
+		{NewReLU(), nil},
+		{NewLeakyReLU(0.1), nil},
+		{NewLeakyReLU(0), nil},
+		{NewSigmoid(), nil},
+		{NewTanh(), nil},
+		{NewSoftmax(), nil},
+		{inference, nil},
+		{NewMaxPool2D(2), []int{1, 4, 4}},
+		{NewMaxPool2D(3), []int{2, 3, 8}},
+	}
+	for _, c := range cases {
+		for vi, vals := range [][]float64{specials, finite} {
+			shape := c.shape
+			if shape == nil {
+				shape = []int{len(vals)}
+			}
+			size := 1
+			for _, d := range shape {
+				size *= d
+			}
+			in := make([]float64, size)
+			for i := range in {
+				in[i] = vals[(i*7)%len(vals)]
+			}
+			net := NewNetwork(c.layer)
+			plan, err := Compile(net, shape...)
+			if err != nil {
+				t.Fatalf("%s: compile: %v", c.layer.Name(), err)
+			}
+			label := fmt.Sprintf("%s/%d", c.layer.Name(), vi)
+			bitsEqual(t, label, plan.NewInstance().Predict(in), net.Predict(in, shape...))
 		}
 	}
 }

@@ -88,18 +88,29 @@ func (c *Conv2D) Forward(in *tensor.Tensor) *tensor.Tensor {
 	c.out2d = tensor.Reuse(c.out2d, c.OutC, n)
 	out := c.out2d
 	c.kern.Forward(out.Data(), in.Data(), c.weights.Data()) // (OutC, outH*outW)
-	// Add per-output-channel bias after the product, exactly like the
-	// im2col reference (bias never enters the FMA fold).
-	bd := c.bias.Data()
-	for oc := 0; oc < c.OutC; oc++ {
-		b := bd[oc]
-		row := out.Data()[oc*n : (oc+1)*n]
+	addBias(out.Data(), c.bias.Data(), n, false)
+	c.outView = tensor.ViewOf(c.outView, out.Data(), c.OutC, c.lastOutH, c.lastOutW)
+	return c.outView
+}
+
+// addBias is the conv bias kernel: it adds bias[oc] to row oc of the n
+// columns of out after the product, exactly like the im2col reference
+// (bias never enters the FMA fold). With withReLU it applies relu to
+// each sum in the same pass — the compiled plan's fusion of a conv and
+// the ReLU after it, one sweep over out cheaper than the two layers.
+func addBias(out, bias []float64, n int, withReLU bool) {
+	for oc, b := range bias {
+		row := out[oc*n : (oc+1)*n]
+		if withReLU {
+			for i, v := range row {
+				row[i] = relu(v + b)
+			}
+			continue
+		}
 		for i := range row {
 			row[i] += b
 		}
 	}
-	c.outView = tensor.ViewOf(c.outView, out.Data(), c.OutC, c.lastOutH, c.lastOutW)
-	return c.outView
 }
 
 // Backward accumulates weight/bias gradients and returns the input
@@ -165,8 +176,11 @@ func (c *Conv2D) Name() string {
 // MaxPool2D performs non-overlapping spatial max pooling. The paper's
 // DeepMind-style Raw models follow each convolution with one of these.
 type MaxPool2D struct {
-	Size    int
-	argmax  []int // flat input index of each pooled maximum
+	Size int
+	// in views the input of the last Forward; Backward rescans its
+	// windows for the winners, so the caller must not mutate the input
+	// between Forward and the matching Backward (DESIGN.md §5e).
+	in      []float64
 	inShape []int
 	out     *tensor.Tensor // reused output buffer, valid until next Forward
 	gradIn  *tensor.Tensor // reused backward buffer, valid until next Backward
@@ -178,6 +192,73 @@ func NewMaxPool2D(size int) *MaxPool2D {
 		auerr.Failf("nn: MaxPool2D size must be positive")
 	}
 	return &MaxPool2D{Size: size}
+}
+
+// poolWindow scans the size×size window of a row-width-w plane whose
+// top-left element is src[at], row by row against a -Inf start with
+// strict >, so NaN never wins and the first of tied maxima does. It
+// returns the maximum and the index of its element; a window with
+// nothing above -Inf (all NaN or -Inf) reports -Inf at its first
+// element.
+func poolWindow(src []float64, at, w, size int) (best float64, idx int) {
+	best, idx = negInf, at
+	for dy := 0; dy < size; dy++ {
+		row := at + dy*w
+		for i, v := range src[row : row+size] {
+			if v > best {
+				best, idx = v, row+i
+			}
+		}
+	}
+	return best, idx
+}
+
+// negInf is the pooling start value. Reading it costs the inliner less
+// than calling math.Inf, which keeps pool2 inlined in both loops.
+var negInf = math.Inf(-1)
+
+// pool2 is poolWindow unrolled for the dominant 2×2 window: the one
+// whose top row starts at r0[x] and bottom row at r1[x]. It compares in
+// poolWindow's order and reports the winner's position k as row k>>1,
+// column k&1 (0 when nothing beats -Inf).
+func pool2(r0, r1 []float64, x int) (best float64, k int) {
+	best = negInf
+	if v := r0[x]; v > best {
+		best = v
+	}
+	if v := r0[x+1]; v > best {
+		best, k = v, 1
+	}
+	if v := r1[x]; v > best {
+		best, k = v, 2
+	}
+	if v := r1[x+1]; v > best {
+		best, k = v, 3
+	}
+	return best, k
+}
+
+// maxPool is the max-pooling kernel: each channel of the (c, h, w)
+// input src pooled by size×size windows at stride size into the
+// (c, h/size, w/size) dst, ragged edges truncated.
+func maxPool(dst, src []float64, c, h, w, size int) {
+	oh, ow := h/size, w/size
+	for ch := 0; ch < c; ch++ {
+		for oy := 0; oy < oh; oy++ {
+			at := (ch*h + oy*size) * w
+			orow := dst[(ch*oh+oy)*ow : (ch*oh+oy+1)*ow]
+			if size == 2 {
+				r0, r1 := src[at:at+w], src[at+w:at+2*w]
+				for ox := range orow {
+					orow[ox], _ = pool2(r0, r1, 2*ox)
+				}
+				continue
+			}
+			for ox := range orow {
+				orow[ox], _ = poolWindow(src, at+ox*size, w, size)
+			}
+		}
+	}
 }
 
 // Forward max-pools each channel with a size×size window and stride
@@ -192,53 +273,47 @@ func (m *MaxPool2D) Forward(in *tensor.Tensor) *tensor.Tensor {
 	if oh == 0 || ow == 0 {
 		auerr.Failf("nn: MaxPool2D window %d too large for %dx%d input", m.Size, h, w)
 	}
+	m.in = in.Data()
 	m.inShape = append(m.inShape[:0], s...)
 	m.out = tensor.Reuse(m.out, c, oh, ow)
-	out := m.out
-	if cap(m.argmax) < out.Size() {
-		m.argmax = make([]int, out.Size())
-	}
-	m.argmax = m.argmax[:out.Size()]
-	for ch := 0; ch < c; ch++ {
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				best := math.Inf(-1)
-				bestIdx := -1
-				for dy := 0; dy < m.Size; dy++ {
-					for dx := 0; dx < m.Size; dx++ {
-						iy, ix := oy*m.Size+dy, ox*m.Size+dx
-						idx := (ch*h+iy)*w + ix
-						if v := in.Data()[idx]; v > best {
-							best = v
-							bestIdx = idx
-						}
-					}
-				}
-				oIdx := (ch*oh+oy)*ow + ox
-				out.Data()[oIdx] = best
-				m.argmax[oIdx] = bestIdx
-			}
-		}
-	}
-	return out
+	maxPool(m.out.Data(), m.in, c, h, w, m.Size)
+	return m.out
 }
 
-// Backward routes each output gradient to the input position that won the
-// max.
+// Backward routes each output gradient to the input position that won
+// its window in Forward (the window's first element when none beat -Inf).
 func (m *MaxPool2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	if m.inShape == nil {
 		auerr.Failf("nn: MaxPool2D Backward before Forward")
 	}
-	if gradOut.Size() != len(m.argmax) {
+	c, h, w := m.inShape[0], m.inShape[1], m.inShape[2]
+	oh, ow := h/m.Size, w/m.Size
+	if gradOut.Size() != c*oh*ow {
 		auerr.Failf("nn: MaxPool2D Backward shape mismatch")
 	}
 	m.gradIn = tensor.Reuse(m.gradIn, m.inShape...)
-	out := m.gradIn
-	out.Fill(0)
-	for i, g := range gradOut.Data() {
-		out.Data()[m.argmax[i]] += g
+	gi := m.gradIn.Data()
+	clear(gi)
+	g := gradOut.Data()
+	for ch := 0; ch < c; ch++ {
+		for oy := 0; oy < oh; oy++ {
+			at := (ch*h + oy*m.Size) * w
+			grow := g[(ch*oh+oy)*ow : (ch*oh+oy+1)*ow]
+			if m.Size == 2 {
+				r0, r1 := m.in[at:at+w], m.in[at+w:at+2*w]
+				for ox, gv := range grow {
+					_, k := pool2(r0, r1, 2*ox)
+					gi[at+(k>>1)*w+2*ox+k&1] += gv
+				}
+				continue
+			}
+			for ox, gv := range grow {
+				_, idx := poolWindow(m.in, at+ox*m.Size, w, m.Size)
+				gi[idx] += gv
+			}
+		}
 	}
-	return out
+	return m.gradIn
 }
 
 // Params implements Layer (pooling has none).

@@ -13,8 +13,13 @@ import (
 // concern on small training sets.
 type LeakyReLU struct {
 	// Alpha is the negative-side slope (0 selects 0.01).
-	Alpha  float64
-	lastIn *tensor.Tensor
+	Alpha float64
+	// in views the input of the last Forward, which Backward reads for
+	// the signs (the caller must not mutate it in between); out and
+	// gradBuf are layer-owned and recycled across calls.
+	in      []float64
+	out     *tensor.Tensor
+	gradBuf *tensor.Tensor
 }
 
 // NewLeakyReLU returns a leaky ReLU with the given negative slope.
@@ -25,31 +30,43 @@ func NewLeakyReLU(alpha float64) *LeakyReLU {
 	return &LeakyReLU{Alpha: alpha}
 }
 
-// Forward applies the activation elementwise.
-func (l *LeakyReLU) Forward(in *tensor.Tensor) *tensor.Tensor {
-	l.lastIn = in.Clone()
-	out := in.Clone()
-	for i, x := range out.Data() {
+// leakyReLUInto is the leaky ReLU kernel: alpha·x where x < 0, x
+// elsewhere (NaN included).
+func leakyReLUInto(dst, src []float64, alpha float64) {
+	dst = dst[:len(src)]
+	for i, x := range src {
 		if x < 0 {
-			out.Data()[i] = l.Alpha * x
+			dst[i] = alpha * x
+		} else {
+			dst[i] = x
 		}
 	}
-	return out
+}
+
+// Forward applies the activation elementwise.
+func (l *LeakyReLU) Forward(in *tensor.Tensor) *tensor.Tensor {
+	l.in = in.Data()
+	l.out = tensor.Reuse(l.out, in.Shape()...)
+	leakyReLUInto(l.out.Data(), l.in, l.Alpha)
+	return l.out
 }
 
 // Backward scales the gradient by 1 or Alpha depending on the input
 // sign.
 func (l *LeakyReLU) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	if l.lastIn == nil || l.lastIn.Size() != gradOut.Size() {
+	if len(l.in) != gradOut.Size() {
 		auerr.Failf("nn: LeakyReLU Backward shape mismatch or called before Forward")
 	}
-	out := gradOut.Clone()
-	for i, x := range l.lastIn.Data() {
-		if x < 0 {
-			out.Data()[i] *= l.Alpha
+	l.gradBuf = tensor.Reuse(l.gradBuf, gradOut.Shape()...)
+	in := l.in
+	od := l.gradBuf.Data()[:len(in)]
+	for i, g := range gradOut.Data()[:len(in)] {
+		if in[i] < 0 {
+			g *= l.Alpha
 		}
+		od[i] = g
 	}
-	return out
+	return l.gradBuf
 }
 
 // Params implements Layer.
@@ -72,7 +89,12 @@ type Dropout struct {
 	Rate     float64
 	rng      *stats.RNG
 	training bool
-	mask     []float64
+	// mask holds each unit's factor (0 or 1/keep) from the last
+	// training Forward and is empty after an identity Forward; it, out
+	// and gradBuf are layer-owned and recycled across calls.
+	mask    []float64
+	out     *tensor.Tensor
+	gradBuf *tensor.Tensor
 }
 
 // NewDropout constructs a dropout layer in training mode.
@@ -87,43 +109,46 @@ func NewDropout(rate float64, rng *stats.RNG) *Dropout {
 // (identity) behaviour.
 func (d *Dropout) SetTraining(t bool) { d.training = t }
 
-// Forward drops units in training mode and is the identity otherwise.
+// Forward drops units in training mode, drawing one uniform per unit in
+// order, and is the identity otherwise.
 func (d *Dropout) Forward(in *tensor.Tensor) *tensor.Tensor {
 	if !d.training || d.Rate == 0 {
-		d.mask = nil
+		d.mask = d.mask[:0]
 		return in
 	}
-	out := in.Clone()
 	if cap(d.mask) < in.Size() {
 		d.mask = make([]float64, in.Size())
 	}
 	d.mask = d.mask[:in.Size()]
-	keep := 1 - d.Rate
-	for i := range out.Data() {
+	d.out = tensor.Reuse(d.out, in.Shape()...)
+	od := d.out.Data()
+	scale := 1 / (1 - d.Rate)
+	for i, x := range in.Data() {
 		if d.rng.Float64() < d.Rate {
 			d.mask[i] = 0
-			out.Data()[i] = 0
+			od[i] = 0
 		} else {
-			d.mask[i] = 1 / keep
-			out.Data()[i] *= 1 / keep
+			d.mask[i] = scale
+			od[i] = x * scale
 		}
 	}
-	return out
+	return d.out
 }
 
 // Backward routes gradients through the surviving units.
 func (d *Dropout) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	if d.mask == nil {
+	if len(d.mask) == 0 {
 		return gradOut
 	}
 	if len(d.mask) != gradOut.Size() {
 		auerr.Failf("nn: Dropout Backward shape mismatch")
 	}
-	out := gradOut.Clone()
-	for i := range out.Data() {
-		out.Data()[i] *= d.mask[i]
+	d.gradBuf = tensor.Reuse(d.gradBuf, gradOut.Shape()...)
+	od := d.gradBuf.Data()
+	for i, g := range gradOut.Data() {
+		od[i] = g * d.mask[i]
 	}
-	return out
+	return d.gradBuf
 }
 
 // Params implements Layer.

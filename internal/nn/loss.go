@@ -12,20 +12,13 @@ import (
 type Loss interface {
 	// Loss returns the scalar loss value.
 	Loss(pred, target *tensor.Tensor) float64
-	// Grad returns d loss / d pred.
-	Grad(pred, target *tensor.Tensor) *tensor.Tensor
+	// GradInto writes d loss / d pred into the caller-owned dst (same
+	// size as pred) and returns it. The Network training paths pass a
+	// reused scratch tensor, so the steady-state loss gradient allocates
+	// nothing.
+	GradInto(dst, pred, target *tensor.Tensor) *tensor.Tensor
 	// Name identifies the loss for logging.
 	Name() string
-}
-
-// GradIntoLoss is the destination-passing refinement of Loss: GradInto
-// writes d loss / d pred into the caller-owned dst (same size as pred)
-// and returns it. The Network training paths use it with a reused scratch
-// tensor so the steady-state loss gradient allocates nothing; losses not
-// implementing it fall back to Grad.
-type GradIntoLoss interface {
-	Loss
-	GradInto(dst, pred, target *tensor.Tensor) *tensor.Tensor
 }
 
 // MSE is the mean-squared-error loss used for the supervised parameter
@@ -41,11 +34,6 @@ func (MSE) Loss(pred, target *tensor.Tensor) float64 {
 		sum += d * d
 	}
 	return sum / float64(pred.Size())
-}
-
-// Grad returns 2(pred-target)/n.
-func (m MSE) Grad(pred, target *tensor.Tensor) *tensor.Tensor {
-	return m.GradInto(tensor.New(pred.Shape()...), pred, target)
 }
 
 // GradInto writes 2(pred-target)/n into dst.
@@ -88,11 +76,6 @@ func (h Huber) Loss(pred, target *tensor.Tensor) float64 {
 		sum += huberTerm(p-target.Data()[i], d)
 	}
 	return sum / float64(pred.Size())
-}
-
-// Grad returns the elementwise Huber gradient divided by n.
-func (h Huber) Grad(pred, target *tensor.Tensor) *tensor.Tensor {
-	return h.GradInto(tensor.New(pred.Shape()...), pred, target)
 }
 
 // GradInto writes the elementwise Huber gradient divided by n into dst.
@@ -168,11 +151,6 @@ func (TDHuber) Loss(pred, target *tensor.Tensor) float64 {
 	return sum / float64(pred.Size())
 }
 
-// Grad returns the TD Huber gradient divided by n.
-func (h TDHuber) Grad(pred, target *tensor.Tensor) *tensor.Tensor {
-	return h.GradInto(tensor.New(pred.Shape()...), pred, target)
-}
-
 // GradInto writes the TD Huber gradient divided by n into dst.
 func (TDHuber) GradInto(dst, pred, target *tensor.Tensor) *tensor.Tensor {
 	a, y := tdTarget(pred, target)
@@ -194,8 +172,8 @@ func (TDHuber) GradInto(dst, pred, target *tensor.Tensor) *tensor.Tensor {
 func (TDHuber) Name() string { return "td-huber" }
 
 // CrossEntropy is the categorical cross-entropy loss over a softmax
-// output; the target must be a one-hot (or soft) distribution. Its Grad
-// is (pred - target), matching the Softmax layer's pass-through backward.
+// output; the target must be a one-hot (or soft) distribution. Its
+// gradient is (pred - target), matching the Softmax layer's pass-through backward.
 type CrossEntropy struct{}
 
 // Loss returns -Σ target·log(pred).
@@ -209,11 +187,6 @@ func (CrossEntropy) Loss(pred, target *tensor.Tensor) float64 {
 		sum -= target.Data()[i] * math.Log(math.Max(p, 1e-12))
 	}
 	return sum
-}
-
-// Grad returns pred - target (the combined softmax+CE gradient).
-func (c CrossEntropy) Grad(pred, target *tensor.Tensor) *tensor.Tensor {
-	return c.GradInto(tensor.New(pred.Shape()...), pred, target)
 }
 
 // GradInto writes pred - target into dst.

@@ -17,8 +17,7 @@ type Network struct {
 
 	// Cached views and scratch (DESIGN.md §5e): the parameter/gradient
 	// lists are fixed at construction and built once; gradScratch holds the
-	// loss gradient for GradIntoLoss losses; inScratch holds the copied-in
-	// Predict input.
+	// loss gradient; inScratch holds the copied-in Predict input.
 	params, grads []*tensor.Tensor
 	paramsBuilt   bool
 	gradScratch   *tensor.Tensor
@@ -169,15 +168,11 @@ func (n *Network) TrainStep(in, target *tensor.Tensor) float64 {
 	return lv
 }
 
-// lossGrad computes the loss gradient, through network-owned scratch when
-// the loss supports destination passing (all built-in losses do), so the
+// lossGrad computes the loss gradient into network-owned scratch, so the
 // steady-state training path allocates nothing here.
 func (n *Network) lossGrad(pred, target *tensor.Tensor) *tensor.Tensor {
-	if gi, ok := n.loss.(GradIntoLoss); ok {
-		n.gradScratch = tensor.Reuse(n.gradScratch, pred.Shape()...)
-		return gi.GradInto(n.gradScratch, pred, target)
-	}
-	return n.loss.Grad(pred, target)
+	n.gradScratch = tensor.Reuse(n.gradScratch, pred.Shape()...)
+	return n.loss.GradInto(n.gradScratch, pred, target)
 }
 
 // TrainBatch accumulates gradients over a mini-batch before one optimizer

@@ -25,7 +25,7 @@ func checkGradients(t *testing.T, n *Network, loss Loss, in, target *tensor.Tens
 	t.Helper()
 	n.ZeroGrads()
 	pred := n.Forward(in)
-	n.Backward(loss.Grad(pred, target))
+	n.Backward(loss.GradInto(tensor.New(pred.Shape()...), pred, target))
 	params := n.Params()
 	grads := n.Grads()
 	for pi, p := range params {
@@ -153,6 +153,35 @@ func TestMaxPoolForwardBackward(t *testing.T) {
 	}
 	if g.At(0, 1, 1) != 1 || g.At(0, 1, 3) != 1 || g.At(0, 2, 0) != 1 || g.At(0, 3, 2) != 1 {
 		t.Errorf("pool gradient misplaced: %v", g.Data())
+	}
+}
+
+// TestMaxPoolBackwardNoWinner: a window whose inputs are all NaN or all
+// -Inf has no element above the -Inf start. Forward still reports -Inf,
+// and Backward routes the window's gradient to its first element, on
+// both the unrolled 2×2 path and the general window loop.
+func TestMaxPoolBackwardNoWinner(t *testing.T) {
+	for _, size := range []int{2, 3} {
+		w := 3 * size // windows: all NaN, all -Inf, ascending
+		in := tensor.New(1, size, w)
+		first := [3]int{0, size, 2 * size}
+		for dy := 0; dy < size; dy++ {
+			for dx := 0; dx < size; dx++ {
+				in.Data()[dy*w+first[0]+dx] = math.NaN()
+				in.Data()[dy*w+first[1]+dx] = math.Inf(-1)
+				in.Data()[dy*w+first[2]+dx] = float64(dy*size + dx)
+			}
+		}
+		m := NewMaxPool2D(size)
+		out := m.Forward(in)
+		wantOut := []float64{math.Inf(-1), math.Inf(-1), float64(size*size - 1)}
+		bitsEqual(t, "forward", out.Data(), wantOut)
+		g := m.Backward(tensor.FromSlice([]float64{3, 5, 7}, 1, 1, 3))
+		want := make([]float64, size*w)
+		want[first[0]] = 3
+		want[first[1]] = 5
+		want[(size-1)*w+first[2]+size-1] = 7
+		bitsEqual(t, "backward", g.Data(), want)
 	}
 }
 

@@ -12,8 +12,8 @@ import (
 // Handler returns the telemetry endpoint mux:
 //
 //	/metrics              Prometheus text exposition of the default registry
-//	/statusz              JSON process status (uptime, telemetry posture, registered sections)
-//	/healthz              liveness; ?deep=1 additionally runs registered readiness checks
+//	/statusz              JSON process status (uptime, runtime, telemetry posture)
+//	/healthz              liveness; ?deep=1 adds readiness, always ready here
 //	/debug/vars           expvar JSON (Go's own memstats and cmdline)
 //	/debug/pprof/...      the standard net/http/pprof profiling endpoints
 //	/debug/spans          recent traced spans as JSON (see SetTracing)
@@ -28,7 +28,7 @@ func Handler() http.Handler {
 			Logger().Error("statusz write failed", "err", err)
 		}
 	})
-	mux.HandleFunc("/healthz", HealthzHandler(ReadinessReport))
+	mux.HandleFunc("/healthz", HealthzHandler(func() (bool, map[string]string) { return true, nil }))
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		reg := Default()
 		if reg == nil {
@@ -69,8 +69,8 @@ type healthResponse struct {
 // (liveness — the process is up), and ?deep=1 runs the checks,
 // answering 200 while all pass and 503 with per-check verdicts once
 // any fails, so a fleet router can drain on readiness without killing
-// on liveness. The obs handler uses ReadinessReport; the serving layer
-// wires in its own report (drift verdicts, shutdown state).
+// on liveness. The obs handler has no checks; the serving layer and the
+// fleet router wire in their own reports.
 func HealthzHandler(report func() (bool, map[string]string)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")

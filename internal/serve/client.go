@@ -370,7 +370,10 @@ func (c *Client) Models(ctx context.Context) (out []ModelInfo, err error) {
 // mean squared error into the model's rolling window and returns the
 // updated verdict. Call it when the host program learns the true value
 // (the same moment it would WriteBack), closing the loop that lets the
-// fleet notice a model drifting away from reality.
+// fleet notice a model drifting away from reality. Observe is not
+// idempotent: under WithRetry, a retry after a response was lost (the
+// server recorded the pair, but the answer never arrived) records the
+// observation twice.
 func (c *Client) ObserveCtx(ctx context.Context, mdName string, predicted, observed []float64) (obs.DriftStatus, error) {
 	if err := live(ctx); err != nil {
 		return obs.DriftStatus{}, err

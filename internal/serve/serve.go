@@ -275,7 +275,7 @@ func WriteError(w http.ResponseWriter, err error) int {
 }
 
 // submit resolves the model and runs one input through its batcher,
-// feeding the per-model latency summary (submit to batch completion —
+// feeding the per-model latency histogram (submit to batch completion —
 // the latency a remote caller actually experiences server-side).
 func (s *Server) submit(ctx context.Context, model string, in []float64) ([]float64, error) {
 	m, ok := s.model(model)

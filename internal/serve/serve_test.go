@@ -422,6 +422,102 @@ func TestClientCancellation(t *testing.T) {
 	}
 }
 
+// TestClientRetryContract pins WithRetry across every remote call: a
+// shed (429) first attempt is retried and the second attempt's answer
+// returned, for predict, act, observe, models and reload alike; a 400
+// is not retried; and a context canceled during the loop stops it.
+func TestClientRetryContract(t *testing.T) {
+	var (
+		mu       sync.Mutex
+		attempts = map[string]int{}
+		cancel   context.CancelFunc
+	)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		attempts[r.URL.Path]++
+		n, stop := attempts[r.URL.Path], cancel
+		mu.Unlock()
+		switch {
+		case r.URL.Path == "/bad":
+			WriteError(w, auerr.E(auerr.ErrSpecInvalid, "bad input"))
+			return
+		case r.URL.Path == "/cancel":
+			stop()
+			WriteError(w, auerr.E(auerr.ErrOverloaded, "shed"))
+			return
+		case n == 1:
+			WriteError(w, auerr.E(auerr.ErrOverloaded, "shed"))
+			return
+		}
+		switch r.URL.Path {
+		case "/v1/predict":
+			_, _ = w.Write(appendVector(nil, []float64{0.5, -1}))
+		case "/v1/act":
+			WriteJSON(w, ActResponse{Action: 2})
+		case "/v1/observe":
+			WriteJSON(w, ObserveResponse{Model: "m", Samples: 1, Healthy: true})
+		case "/v1/models":
+			WriteJSON(w, []ModelInfo{{Name: "m", Version: 3}})
+		case "/models/m/reload":
+			WriteJSON(w, ReloadResponse{Model: "m", Version: 4})
+		default:
+			http.NotFound(w, r)
+		}
+	}))
+	defer ts.Close()
+	count := func(path string) int {
+		mu.Lock()
+		defer mu.Unlock()
+		return attempts[path]
+	}
+	cli := NewClient(ts.URL, WithRetry(RetryPolicy{Attempts: 3, Base: time.Millisecond, Max: time.Millisecond}))
+	ctx := context.Background()
+
+	if out, err := cli.PredictCtx(ctx, "m", []float64{1}); err != nil || len(out) != 2 || out[0] != 0.5 {
+		t.Errorf("predict = %v, %v", out, err)
+	}
+	cli.Extract("s", 1, 2)
+	if err := cli.NNRLCtx(ctx, "m", "s", 0, false, "a"); err != nil {
+		t.Errorf("act: %v", err)
+	} else if a, _ := cli.DB().Get("a"); len(a) != 1 || a[0] != 2 {
+		t.Errorf("act wrote back %v, want [2]", a)
+	}
+	if st, err := cli.ObserveCtx(ctx, "m", []float64{1}, []float64{1}); err != nil || st.Samples != 1 {
+		t.Errorf("observe = %+v, %v", st, err)
+	}
+	if ms, err := cli.Models(ctx); err != nil || len(ms) != 1 || ms[0].Version != 3 {
+		t.Errorf("models = %v, %v", ms, err)
+	}
+	if v, err := cli.Reload(ctx, "m", nil); err != nil || v != 4 {
+		t.Errorf("reload = %d, %v", v, err)
+	}
+	for _, path := range []string{"/v1/predict", "/v1/act", "/v1/observe", "/v1/models", "/models/m/reload"} {
+		if n := count(path); n != 2 {
+			t.Errorf("%s: %d attempts, want 2 (one shed, one served)", path, n)
+		}
+	}
+
+	if err := cli.postJSON(ctx, "/bad", struct{}{}, &struct{}{}); !errors.Is(err, auerr.ErrSpecInvalid) {
+		t.Errorf("400: %v, want ErrSpecInvalid", err)
+	}
+	if n := count("/bad"); n != 1 {
+		t.Errorf("400: %d attempts, want 1", n)
+	}
+
+	cctx, cancelCtx := context.WithCancel(ctx)
+	defer cancelCtx()
+	mu.Lock()
+	cancel = cancelCtx
+	mu.Unlock()
+	slow := NewClient(ts.URL, WithRetry(RetryPolicy{Attempts: 3, Base: time.Minute, Max: time.Minute}))
+	if err := slow.postJSON(cctx, "/cancel", struct{}{}, &struct{}{}); !errors.Is(err, auerr.ErrCanceled) {
+		t.Errorf("canceled mid-loop: %v, want ErrCanceled", err)
+	}
+	if n := count("/cancel"); n != 1 {
+		t.Errorf("canceled mid-loop: %d attempts, want 1", n)
+	}
+}
+
 // TestSubmitBackpressure pins the load-shedding contract at the batcher
 // layer: a full queue rejects immediately with ErrOverloaded, and the
 // HTTP mapping for that class is 429.

@@ -101,8 +101,8 @@ func (s *Server) Status() Statusz {
 }
 
 // readiness runs the serving readiness checks: shutdown state plus one
-// drift verdict per observed model. The report shape matches
-// obs.ReadinessReport so obs.HealthzHandler renders both.
+// drift verdict per observed model, in the report shape
+// obs.HealthzHandler renders.
 func (s *Server) readiness() (bool, map[string]string) {
 	checks := make(map[string]string)
 	ready := true
