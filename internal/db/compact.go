@@ -49,18 +49,9 @@ func (w *WAL) Compact(snapshot []Record) error {
 	}
 	w.total = w.segSize
 	w.segs = 1
-	w.sinceComp = 0
 	if w.m != nil {
 		w.m.compactions.Inc()
 	}
 	w.publishGauges()
 	return nil
-}
-
-// SinceCompaction reports bytes appended since the last compaction (or
-// open).
-func (w *WAL) SinceCompaction() int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.sinceComp
 }

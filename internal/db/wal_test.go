@@ -261,9 +261,6 @@ func TestWALCompactSnapshotPlusTail(t *testing.T) {
 	if len(got) != 2 || got[0].Type != 42 || got[1].Type != 7 {
 		t.Fatalf("replay after compaction: %+v", got)
 	}
-	if w2.SinceCompaction() != 0 {
-		t.Errorf("fresh open SinceCompaction = %d", w2.SinceCompaction())
-	}
 }
 
 func TestWALStickyWriteError(t *testing.T) {

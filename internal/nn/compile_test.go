@@ -206,6 +206,7 @@ func TestCompiledPlanIsSnapshot(t *testing.T) {
 			p.Data()[i] += 1
 		}
 	}
+	net.weightsWritten()
 	bitsEqual(t, "snapshot", inst.Predict(in), before)
 	// A fresh compile picks up the new weights.
 	plan2, err := Compile(net)

@@ -31,12 +31,11 @@ type Dense struct {
 	gradIn *tensor.Tensor
 
 	// pack is the layer-owned lane-packed copy of weights and bias that
-	// Forward reads while packed is set. Network.TrainBatch repacks it in
-	// place at the start of every minibatch and clears packed before it
-	// returns, so the pack is never read after the optimizer moves the
-	// weights it copied.
-	pack   *tensor.PackedDense
-	packed bool
+	// Forward reads. Every write of the weights sets stale
+	// (Network.weightsWritten), and the next Forward repacks in place, so
+	// the pack is current from one write to the next.
+	pack  *tensor.PackedDense
+	stale bool
 }
 
 // NewDense constructs a fully connected layer with He-initialized weights
@@ -52,6 +51,7 @@ func NewDense(inSize, outSize int, rng *stats.RNG) *Dense {
 		bias:    tensor.New(outSize),
 		gradW:   tensor.New(outSize, inSize),
 		gradB:   tensor.New(outSize),
+		stale:   true,
 	}
 	scale := math.Sqrt(2.0 / float64(inSize))
 	for i := range d.weights.Data() {
@@ -62,42 +62,25 @@ func NewDense(inSize, outSize int, rng *stats.RNG) *Dense {
 
 // Forward computes W·in + b. The input must be a vector of length InSize
 // (any shape with that many elements is accepted and flattened). Every
-// output is Dot(row, in) + b[o]; inside a training minibatch the packed
-// gemv computes the same fold over the minibatch's pack.
+// output is the packed gemv's fold, bit-identical to Dot(row, in) + b[o].
+// The first Forward after a write of the weights repacks them.
 func (d *Dense) Forward(in *tensor.Tensor) *tensor.Tensor {
 	if in.Size() != d.InSize {
 		auerr.Failf("nn: Dense expects %d inputs, got %d", d.InSize, in.Size())
 	}
+	if d.stale {
+		if d.pack == nil {
+			d.pack = tensor.PackDense(d.weights, d.bias)
+		} else {
+			d.pack.Repack(d.weights, d.bias)
+		}
+		d.stale = false
+	}
 	d.lastIn = tensor.ViewOf(d.lastIn, in.Data(), in.Size())
 	d.out = tensor.Reuse(d.out, d.OutSize)
-	out := d.out.Data()
-	x := d.lastIn.Data()
-	if d.packed {
-		d.pack.Forward(out, x)
-		return d.out
-	}
-	w := d.weights.Data()
-	bd := d.bias.Data()
-	for o := range out {
-		out[o] = tensor.Dot(w[o*d.InSize:(o+1)*d.InSize], x) + bd[o]
-	}
+	d.pack.Forward(d.out.Data(), d.lastIn.Data())
 	return d.out
 }
-
-// packWeights snapshots the current weights into the layer's pack,
-// reusing its buffers, and routes Forward through it until
-// unpackWeights.
-func (d *Dense) packWeights() {
-	if d.pack == nil {
-		d.pack = tensor.PackDense(d.weights, d.bias)
-	} else {
-		d.pack.Repack(d.weights, d.bias)
-	}
-	d.packed = true
-}
-
-// unpackWeights returns Forward to the unpacked weights.
-func (d *Dense) unpackWeights() { d.packed = false }
 
 // Backward accumulates dL/dW = gradOut ⊗ in and dL/db = gradOut, and
 // returns dL/din = Wᵀ·gradOut. Both products are row AXPYs: gradW's row

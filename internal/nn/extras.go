@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"math"
 
 	"github.com/autonomizer/autonomizer/internal/auerr"
 	"github.com/autonomizer/autonomizer/internal/stats"
@@ -162,40 +161,3 @@ func (d *Dropout) ZeroGrads() {}
 
 // Name implements Layer.
 func (d *Dropout) Name() string { return fmt.Sprintf("dropout(%g)", d.Rate) }
-
-// RMSProp is the root-mean-square-propagation optimizer, a common
-// alternative to Adam for non-stationary (RL) objectives.
-type RMSProp struct {
-	LR, Decay, Eps float64
-	params         []*tensor.Tensor
-	cache          []*tensor.Tensor
-}
-
-// NewRMSProp constructs an RMSProp optimizer (decay 0.99, eps 1e-8).
-func NewRMSProp(params []*tensor.Tensor, lr float64) *RMSProp {
-	r := &RMSProp{LR: lr, Decay: 0.99, Eps: 1e-8, params: params,
-		cache: make([]*tensor.Tensor, len(params))}
-	for i, p := range params {
-		r.cache[i] = tensor.New(p.Shape()...)
-	}
-	return r
-}
-
-// Step applies one RMSProp update.
-func (r *RMSProp) Step(grads []*tensor.Tensor) {
-	if len(grads) != len(r.params) {
-		auerr.Failf("nn: RMSProp gradient count mismatch")
-	}
-	for i, p := range r.params {
-		g := grads[i].Data()
-		c := r.cache[i].Data()
-		pd := p.Data()
-		for j := range pd {
-			c[j] = r.Decay*c[j] + (1-r.Decay)*g[j]*g[j]
-			pd[j] -= r.LR * g[j] / (math.Sqrt(c[j]) + r.Eps)
-		}
-	}
-}
-
-// Name implements Optimizer.
-func (r *RMSProp) Name() string { return "rmsprop" }

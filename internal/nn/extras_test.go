@@ -78,7 +78,9 @@ func TestDropoutBackwardUsesMask(t *testing.T) {
 	in := tensor.New(100)
 	in.Fill(1)
 	out := d.Forward(in)
-	g := d.Backward(tensor.FromSlice(make([]float64, 100), 100).Apply(func(float64) float64 { return 1 }))
+	ones := tensor.New(100)
+	ones.Fill(1)
+	g := d.Backward(ones)
 	for i := range g.Data() {
 		if (out.Data()[i] == 0) != (g.Data()[i] == 0) {
 			t.Fatal("gradient mask does not match forward mask")
@@ -93,32 +95,4 @@ func TestDropoutPanicsOnBadRate(t *testing.T) {
 		}
 	}()
 	NewDropout(1, stats.NewRNG(1))
-}
-
-func TestRMSPropConverges(t *testing.T) {
-	rng := stats.NewRNG(4)
-	n := NewDNN(2, nil, 1, rng)
-	n.SetOptimizer(NewRMSProp(n.Params(), 0.01))
-	in := tensor.FromSlice([]float64{1, 1}, 2)
-	target := tensor.FromSlice([]float64{3}, 1)
-	var last float64
-	for i := 0; i < 500; i++ {
-		last = n.TrainStep(in, target)
-	}
-	if last > 1e-5 {
-		t.Errorf("RMSProp did not converge: %v", last)
-	}
-	if NewRMSProp(nil, 0.1).Name() != "rmsprop" {
-		t.Error("name wrong")
-	}
-}
-
-func TestRMSPropMismatchPanics(t *testing.T) {
-	r := NewRMSProp([]*tensor.Tensor{tensor.New(2)}, 0.1)
-	defer func() {
-		if recover() == nil {
-			t.Error("gradient count mismatch accepted")
-		}
-	}()
-	r.Step(nil)
 }

@@ -48,7 +48,9 @@ func (n *Network) Layers() []Layer { return n.layers }
 
 // Params returns every trainable parameter tensor in layer order. The
 // layer stack is fixed at construction, so the list is built once and the
-// same slice is returned thereafter; callers must not mutate it.
+// same slice is returned thereafter; callers must not mutate it. Only
+// nn's own writers (the optimizer step, unmarshalParams) may write the
+// values, because each marks the Dense packs stale after it writes.
 func (n *Network) Params() []*tensor.Tensor {
 	n.buildParamLists()
 	return n.params
@@ -165,6 +167,7 @@ func (n *Network) TrainStep(in, target *tensor.Tensor) float64 {
 	lv := n.loss.Loss(pred, target)
 	n.Backward(n.lossGrad(pred, target))
 	n.opt.Step(n.Grads())
+	n.weightsWritten()
 	return lv
 }
 
@@ -182,10 +185,8 @@ func (n *Network) lossGrad(pred, target *tensor.Tensor) *tensor.Tensor {
 // backward accumulate into the network's gradients, which are then
 // averaged, clipped and stepped once. Nothing here reads the worker
 // width, so the updated weights are bit-identical at any width. The
-// weights stay fixed until the step, so every Dense layer
-// lane-packs them once up front and runs the batch's forwards through
-// the packed gemv (bit-identical to its Dot fold); the packs are
-// dropped before TrainBatch returns.
+// weights stay fixed until the step, so every Dense layer's forwards
+// read one pack; the step marks it stale and the next Forward repacks.
 func (n *Network) TrainBatch(ins, targets []*tensor.Tensor) float64 {
 	if len(ins) != len(targets) {
 		auerr.Failf("nn: TrainBatch input/target count mismatch")
@@ -197,8 +198,6 @@ func (n *Network) TrainBatch(ins, targets []*tensor.Tensor) float64 {
 		auerr.Failf("nn: TrainBatch without an optimizer; call UseAdam/UseSGD first")
 	}
 	n.ZeroGrads()
-	n.packDense(true)
-	defer n.packDense(false)
 	total := 0.0
 	for i, in := range ins {
 		pred := n.Forward(in)
@@ -212,19 +211,17 @@ func (n *Network) TrainBatch(ins, targets []*tensor.Tensor) float64 {
 	}
 	ClipGradients(n.Grads(), 10)
 	n.opt.Step(n.Grads())
+	n.weightsWritten()
 	return total / float64(len(ins))
 }
 
-// packDense switches every Dense layer's Forward onto a fresh pack of its
-// current weights (on) or back to the weights themselves (off).
-func (n *Network) packDense(on bool) {
+// weightsWritten marks every Dense layer's pack stale. Each write of the
+// weights calls it: the optimizer step and the applying pass of
+// unmarshalParams.
+func (n *Network) weightsWritten() {
 	for _, l := range n.layers {
 		if d, ok := l.(*Dense); ok {
-			if on {
-				d.packWeights()
-			} else {
-				d.unpackWeights()
-			}
+			d.stale = true
 		}
 	}
 }

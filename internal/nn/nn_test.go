@@ -9,15 +9,19 @@ import (
 )
 
 // numericGrad estimates d loss / d param[i] by central differences, the
-// reference against which analytic backprop is checked.
+// reference against which analytic backprop is checked. It writes the
+// weights through Params, so it marks them written as nn's own writers do.
 func numericGrad(n *Network, loss Loss, in, target *tensor.Tensor, p *tensor.Tensor, i int) float64 {
 	const h = 1e-6
 	orig := p.Data()[i]
 	p.Data()[i] = orig + h
+	n.weightsWritten()
 	up := loss.Loss(n.Forward(in), target)
 	p.Data()[i] = orig - h
+	n.weightsWritten()
 	down := loss.Loss(n.Forward(in), target)
 	p.Data()[i] = orig
+	n.weightsWritten()
 	return (up - down) / (2 * h)
 }
 

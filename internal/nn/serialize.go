@@ -124,5 +124,8 @@ func (n *Network) unmarshalParams(data []byte, apply bool) error {
 		}
 		data = data[8*len(vals):]
 	}
+	if apply {
+		n.weightsWritten()
+	}
 	return nil
 }

@@ -41,11 +41,6 @@ func Variance(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 {
-	return math.Sqrt(Variance(xs))
-}
-
 // Min returns the minimum of xs. It returns ErrEmpty for empty input.
 func Min(xs []float64) (float64, error) {
 	if len(xs) == 0 {

@@ -1,19 +1,20 @@
-// pack.go is the lane-packed dense forward behind the compiled
-// inference plans and the training minibatch (DESIGN.md §5g). Serving
-// weights are immutable between hot reloads, so PackDense snapshots a
-// Dense layer's weights into the active kernel implementation's
-// lane-blocked layout exactly once and the per-call work that remains is
-// only what depends on the input. PrepackConv (convgemm.go) does the
-// same for convolution filters. Training weights move once per
-// minibatch, at the optimizer step, so a training Dense layer keeps one
-// PackedDense and Repacks it in place at the start of every minibatch:
-// one O(weights) copy shared by all the batch's forwards.
+// pack.go is the lane-packed dense forward behind every Dense forward,
+// the compiled inference plans' and the training network's (DESIGN.md
+// §5g). Serving weights are immutable between hot reloads, so PackDense
+// snapshots a Dense layer's weights into the active kernel
+// implementation's lane-blocked layout exactly once and the per-call
+// work that remains is only what depends on the input. PrepackConv
+// (convgemm.go) does the same for convolution filters. Training weights
+// move only when they are written (an optimizer step or a load), so a
+// training Dense layer keeps one PackedDense and Repacks it in place at
+// the first forward after each write: one O(weights) copy shared by
+// every forward until the next write.
 //
 // Packed values are snapshots: they do not observe later mutations of
 // the source tensors. That is exactly the compiled-plan contract — a
 // plan is recompiled when new weights are published, never mutated —
-// and the reason a training pack is read only inside the minibatch that
-// repacked it.
+// and the reason every write of a training layer's weights marks its
+// pack stale.
 package tensor
 
 import "fmt"
@@ -48,10 +49,9 @@ func PackDense(w, bias *Tensor) *PackedDense {
 }
 
 // Repack refreshes the snapshot in place from weights and bias of the
-// shape it was packed from, allocating nothing. Training packs each
-// minibatch's weights this way (nn.Network.TrainBatch): the weights are
-// fixed for every example of the batch and move only at the optimizer
-// step after it.
+// shape it was packed from, allocating nothing. A training Dense layer
+// repacks this way at its first forward after each write of its
+// weights, and reads the pack until the next write.
 func (p *PackedDense) Repack(w, bias *Tensor) {
 	if len(w.shape) != 2 || w.shape[0] != p.out || w.shape[1] != p.k {
 		panic(fmt.Sprintf("tensor: PackedDense repack with weights %v, want [%d %d]", w.shape, p.out, p.k))
@@ -81,8 +81,8 @@ func (p *PackedDense) Out() int { return p.out }
 
 // Forward computes dst = W·x + bias, sequentially and without
 // allocating. Every output folds its terms ascending-k with separate
-// multiply and add, then adds the bias once — bit-identical to the
-// uncompiled Dense layer's Dot(row, x) + bias[o].
+// multiply and add, then adds the bias once — bit-identical to
+// Dot(row, x) + bias[o].
 func (p *PackedDense) Forward(dst, x []float64) {
 	if len(x) != p.k {
 		panic(fmt.Sprintf("tensor: PackedDense input %d, want %d", len(x), p.k))

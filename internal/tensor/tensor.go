@@ -69,19 +69,6 @@ func (t *Tensor) Clone() *Tensor {
 	return c
 }
 
-// Reshape returns a view of the same data with a new shape. It panics if
-// the element counts differ.
-func (t *Tensor) Reshape(shape ...int) *Tensor {
-	n := 1
-	for _, d := range shape {
-		n *= d
-	}
-	if n != len(t.data) {
-		panic(fmt.Sprintf("tensor: cannot reshape %v (%d elems) to %v", t.shape, len(t.data), shape))
-	}
-	return &Tensor{shape: append([]int(nil), shape...), data: t.data}
-}
-
 // At returns the element at the given multi-index.
 func (t *Tensor) At(idx ...int) float64 {
 	return t.data[t.offset(idx)]
@@ -113,37 +100,11 @@ func (t *Tensor) Fill(v float64) {
 	}
 }
 
-// Apply replaces each element x with f(x) in place and returns t.
-func (t *Tensor) Apply(f func(float64) float64) *Tensor {
-	for i, x := range t.data {
-		t.data[i] = f(x)
-	}
-	return t
-}
-
 // AddInPlace adds o elementwise into t. Shapes must match exactly.
 func (t *Tensor) AddInPlace(o *Tensor) *Tensor {
 	t.assertSameShape(o)
 	for i := range t.data {
 		t.data[i] += o.data[i]
-	}
-	return t
-}
-
-// SubInPlace subtracts o elementwise from t.
-func (t *Tensor) SubInPlace(o *Tensor) *Tensor {
-	t.assertSameShape(o)
-	for i := range t.data {
-		t.data[i] -= o.data[i]
-	}
-	return t
-}
-
-// MulInPlace multiplies t elementwise by o (Hadamard product).
-func (t *Tensor) MulInPlace(o *Tensor) *Tensor {
-	t.assertSameShape(o)
-	for i := range t.data {
-		t.data[i] *= o.data[i]
 	}
 	return t
 }
@@ -190,10 +151,10 @@ func Reuse(t *Tensor, shape ...int) *Tensor {
 }
 
 // View repoints view at src's backing data with the given shape and
-// returns it: an allocation-free Reshape for hot paths (a nil view
-// allocates the header once, then it is recycled on every call). The
-// returned tensor shares src's data; it panics if the element counts
-// differ.
+// returns it, so a hot path reads the same data under another shape
+// without allocating (a nil view allocates the header once, then it is
+// recycled on every call). The returned tensor shares src's data; it
+// panics if the element counts differ.
 func View(view, src *Tensor, shape ...int) *Tensor {
 	return ViewOf(view, src.data, shape...)
 }
@@ -233,18 +194,6 @@ func Dot(a, b []float64) float64 {
 		s += a[i] * b[i]
 	}
 	return s
-}
-
-// MaxAbs returns the largest absolute element value, used for gradient
-// clipping diagnostics.
-func (t *Tensor) MaxAbs() float64 {
-	m := 0.0
-	for _, x := range t.data {
-		if a := math.Abs(x); a > m {
-			m = a
-		}
-	}
-	return m
 }
 
 // L2Norm returns the Euclidean norm of all elements.
